@@ -4,146 +4,10 @@ Rigorous binary64 interval enclosures for log-gamma and polygamma,
 exact rational positivity certificates for polynomials, and replayable
 verification suites for a gamma-quotient function family and the
 unit-ball volume sequence built from it.
+
+The public names live in the submodules `enclosure`, `exactpoly`,
+`specfun`, `targets`, `certify` and `cli`; each lists them in its
+`__all__`.
 """
 
-from .enclosure import (
-    CONSTANTS,
-    DomainError,
-    Enclosure,
-    EULER_GAMMA,
-    LN_PI,
-    PI,
-    PI_SQ_OVER_6,
-    ZETA_3,
-)
-from .exactpoly import (
-    METHOD_DESCARTES,
-    METHOD_SHIFTED_COEFFS,
-    METHOD_STURM,
-    PositivityCertificate,
-    RationalPolynomial,
-    VERDICT_NOT_CERTIFIED,
-    VERDICT_POSITIVE,
-    certify_positive_on_ray,
-)
-from .specfun import (
-    BoundPair,
-    IntervalPolynomial,
-    certify_positive_interval_poly,
-    digamma_bounds,
-    eval_interval_poly,
-    ln_gamma,
-    log1p_bounds,
-    polygamma,
-    polygamma_bounds,
-)
-from .targets import (
-    CHAIN_TOKENS,
-    GUARD_RADIUS,
-    GuardZoneError,
-    LEMMA_POLYS,
-    RATE_NUMERATOR,
-    SEQUENCE_MODES,
-    ball_root_slope_chain,
-    ball_volume_root,
-    chain_interval_poly,
-    chain_rate_bound_rational,
-    chain_rate_bound_with_log,
-    fg_ratio,
-    fg_ratio_core,
-    fg_ratio_core_rate,
-    fg_ratio_core_rate_lower_bound,
-    gamma_log_ratio,
-    log_ball_volume_root,
-    log_omega_sequence_term,
-    log_unit_ball_volume,
-    log_volume_sequence_value,
-    omega_sequence_term,
-    unit_ball_volume,
-    volume_sequence_value,
-)
-from .certify import (
-    ANCHORS,
-    ANCHOR_TOLERANCE,
-    GridCertificate,
-    ProofStep,
-    VerificationReport,
-    explore_remark2,
-    grid_monotone_certificate,
-    meet_status,
-    report_to_json_obj,
-    report_to_json_text,
-    report_to_text,
-    verify_lemma2,
-    verify_remark1,
-    verify_theorem1,
-    verify_theorem2,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANCHORS",
-    "ANCHOR_TOLERANCE",
-    "BoundPair",
-    "CHAIN_TOKENS",
-    "CONSTANTS",
-    "DomainError",
-    "Enclosure",
-    "EULER_GAMMA",
-    "GUARD_RADIUS",
-    "GridCertificate",
-    "GuardZoneError",
-    "IntervalPolynomial",
-    "LEMMA_POLYS",
-    "LN_PI",
-    "METHOD_DESCARTES",
-    "METHOD_SHIFTED_COEFFS",
-    "METHOD_STURM",
-    "PI",
-    "PI_SQ_OVER_6",
-    "PositivityCertificate",
-    "ProofStep",
-    "RATE_NUMERATOR",
-    "RationalPolynomial",
-    "SEQUENCE_MODES",
-    "VERDICT_NOT_CERTIFIED",
-    "VERDICT_POSITIVE",
-    "VerificationReport",
-    "ZETA_3",
-    "ball_root_slope_chain",
-    "ball_volume_root",
-    "certify_positive_interval_poly",
-    "certify_positive_on_ray",
-    "chain_interval_poly",
-    "chain_rate_bound_rational",
-    "chain_rate_bound_with_log",
-    "digamma_bounds",
-    "eval_interval_poly",
-    "explore_remark2",
-    "fg_ratio",
-    "fg_ratio_core",
-    "fg_ratio_core_rate",
-    "fg_ratio_core_rate_lower_bound",
-    "gamma_log_ratio",
-    "grid_monotone_certificate",
-    "ln_gamma",
-    "log1p_bounds",
-    "log_ball_volume_root",
-    "log_omega_sequence_term",
-    "log_unit_ball_volume",
-    "log_volume_sequence_value",
-    "meet_status",
-    "omega_sequence_term",
-    "polygamma",
-    "polygamma_bounds",
-    "report_to_json_obj",
-    "report_to_json_text",
-    "report_to_text",
-    "unit_ball_volume",
-    "verify_lemma2",
-    "verify_remark1",
-    "verify_theorem1",
-    "verify_theorem2",
-    "volume_sequence_value",
-]

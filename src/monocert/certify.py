@@ -128,7 +128,6 @@ class GridCertificate:
     verified_pairs: int
     status: str
     offending_pair: Optional[tuple] = None
-    subdivided: int = 0
 
 
 def _anchor_step(step_id: str, description: str, computed: Enclosure,
@@ -175,17 +174,26 @@ def _exact_value_step(step_id: str, description: str, value: Fraction,
 _GRID_FUNCTIONS: dict = {
     "gamma_log_ratio": gamma_log_ratio,
     "log_ball_volume_root": log_ball_volume_root,
-    "ball_volume_root": targets.ball_volume_root,
     "fg_ratio": fg_ratio,
 }
 
 _SNAP_POINTS = (0.0, 1.0)
 
+# largest grid a certificate will build; a finer window is refused
+# before any point is allocated
+_MAX_GRID_POINTS = 10 ** 6
+
 
 def _build_grid(a: float, b: float, step: float) -> tuple:
     if not (a < b) or not (step > 0):
         raise DomainError(f"bad grid window a={a!r} b={b!r} step={step!r}")
-    count = int((b - a) / step + 1e-9)
+    span = (b - a) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # also refuses an infinite span
+        raise DomainError(
+            f"grid window a={a!r} b={b!r} step={step!r} needs more than "
+            f"{_MAX_GRID_POINTS} points"
+        )
+    count = int(span)
     pts = []
     for k in range(count + 1):
         p = a + k * step
@@ -217,12 +225,12 @@ def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> G
     grid a, a+step, ..., via enclosure separation at every consecutive
     pair.
 
-    On an overlapping pair the local step is halved once and both
-    halves retried; a pair that still overlaps makes the certificate
-    inconclusive (recorded with the offending pair), and a pair
-    separated the wrong way makes it fail.  Note a true overlap cannot
-    actually be rescued (separation of both halves implies separation
-    of the whole), so the subdivision is a recorded formality.
+    A pair separated the wrong way makes the certificate fail.  An
+    overlapping pair gets a midpoint refutation: if the value at its
+    midpoint is separated the wrong way from either end, the
+    certificate fails; otherwise it is inconclusive.  Either way the
+    offending pair is recorded.  (An overlap can never be rescued:
+    separation of both halves would imply separation of the whole.)
     """
     if direction not in ("increasing", "decreasing"):
         raise DomainError(f"unknown direction {direction!r}")
@@ -234,35 +242,20 @@ def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> G
     grid = _build_grid(float(a), float(b), float(step))
     values = [fn(p) for p in grid]
     verified = 0
-    subdivided = 0
     for i in range(len(grid) - 1):
         u, v = values[i], values[i + 1]
         if _pair_separated(u, v, direction):
             verified += 1
             continue
-        if _pair_refuted(u, v, direction):
-            return GridCertificate(
-                function_id, direction, grid, verified, FAIL,
-                offending_pair=(grid[i], grid[i + 1]), subdivided=subdivided,
-            )
-        subdivided += 1
-        mid = 0.5 * (grid[i] + grid[i + 1])
-        w = fn(mid)
-        if _pair_refuted(u, w, direction) or _pair_refuted(w, v, direction):
-            return GridCertificate(
-                function_id, direction, grid, verified, FAIL,
-                offending_pair=(grid[i], grid[i + 1]), subdivided=subdivided,
-            )
-        if _pair_separated(u, w, direction) and _pair_separated(w, v, direction):
-            verified += 1
-            continue
+        refuted = _pair_refuted(u, v, direction)
+        if not refuted:
+            w = fn(0.5 * (grid[i] + grid[i + 1]))
+            refuted = _pair_refuted(u, w, direction) or _pair_refuted(w, v, direction)
         return GridCertificate(
-            function_id, direction, grid, verified, INCONCLUSIVE,
-            offending_pair=(grid[i], grid[i + 1]), subdivided=subdivided,
+            function_id, direction, grid, verified,
+            FAIL if refuted else INCONCLUSIVE, offending_pair=(grid[i], grid[i + 1]),
         )
-    return GridCertificate(
-        function_id, direction, grid, verified, "certified", subdivided=subdivided,
-    )
+    return GridCertificate(function_id, direction, grid, verified, "certified")
 
 
 def _grid_step(step_id: str, cert: GridCertificate, claim: str) -> ProofStep:
@@ -380,16 +373,27 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
 _SHIFT_EXPECTED = (148, 712, 1364, 1272, 611, 144, 13)
 
 
+# default grid windows (start, end, step) of the two grid certificates
+_THEOREM1_GRID = (0.0, 50.0, 0.01)
+_THEOREM2_GRID = (1.0 + 2.0 ** -10, 50.0, 0.01)
+
+
+def _grid_window(grid, default) -> tuple:
+    """grid with each None entry taken from default."""
+    return tuple(d if g is None else g for g, d in zip(grid, default, strict=True))
+
+
 def _half_grid(stop: int = 50) -> list:
     return [Fraction(k, 2) for k in range(2, 2 * stop + 1)]
 
 
-def verify_theorem1(anchors=None, grid=(0.0, 50.0, 0.01)) -> VerificationReport:
+def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport:
     """Replay the increasing-function proof: the quotient-derivative
     core is positive (anchored at 1, bounded below by a certified
     rational function), the slope ratio increases, and the target
     function increases on the desk-scale grid."""
     anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
+    grid = _grid_window(grid, _THEOREM1_GRID)
     steps = []
 
     steps.append(_anchor_step(
@@ -480,7 +484,7 @@ _CHAIN_SAMPLE_COUNT = 50
 
 
 def verify_theorem2(n_max: int = 200, anchors=None,
-                    grid=(1.0 + 2.0 ** -10, 50.0, 0.01)) -> VerificationReport:
+                    grid=(None, None, None)) -> VerificationReport:
     """Replay the decreasing-function proof: the auxiliary sign chain is
     pinned at 1 and its polynomial tail certified negative, the bound
     chain is consistent at sampled points, and both the continuous
@@ -488,6 +492,7 @@ def verify_theorem2(n_max: int = 200, anchors=None,
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 4:
         raise DomainError(f"verify_theorem2 needs integer n_max >= 4, got {n_max!r}")
     anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
+    grid = _grid_window(grid, _THEOREM2_GRID)
     steps = []
 
     tail = chain_interval_poly("h2ppp")

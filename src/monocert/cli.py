@@ -52,9 +52,6 @@ _EVAL_TARGETS = {
 
 _SEQUENCE_MINIMUM = {"unit": 1, "inv_n": 1, "inv_nlnn": 2, "paper": 3}
 
-_THEOREM1_GRID = (0.0, 50.0, 0.01)
-_THEOREM2_GRID = (1.0 + 2.0 ** -10, 50.0, 0.01)
-
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -116,24 +113,13 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _run_verifier(theorem: str, n_max: int, grid_from, grid_to, grid_step):
+def _run_verifier(theorem: str, n_max: int, grid: tuple):
+    # a None grid entry (flag not given) takes the theorem's default
     if theorem == "lemma2":
         return certify.verify_lemma2()
     if theorem == "theorem1":
-        g = _THEOREM1_GRID
-        grid = (
-            g[0] if grid_from is None else grid_from,
-            g[1] if grid_to is None else grid_to,
-            g[2] if grid_step is None else grid_step,
-        )
         return certify.verify_theorem1(grid=grid)
     if theorem == "theorem2":
-        g = _THEOREM2_GRID
-        grid = (
-            g[0] if grid_from is None else grid_from,
-            g[1] if grid_to is None else grid_to,
-            g[2] if grid_step is None else grid_step,
-        )
         return certify.verify_theorem2(n_max=n_max, grid=grid)
     if theorem == "remark1":
         return certify.verify_remark1(n_max=n_max)
@@ -143,7 +129,7 @@ def _run_verifier(theorem: str, n_max: int, grid_from, grid_to, grid_step):
 def _cmd_verify(args) -> int:
     try:
         report = _run_verifier(
-            args.theorem, args.n_max, args.grid_from, args.grid_to, args.grid_step
+            args.theorem, args.n_max, (args.grid_from, args.grid_to, args.grid_step)
         )
     except DomainError as exc:
         return _fail_usage(str(exc))

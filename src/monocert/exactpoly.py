@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 __all__ = [
@@ -35,6 +36,10 @@ def _frac(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"expected exact rational, got {type(v).__name__}")
+
+
+def _poly(v) -> "RationalPolynomial":
+    return v if isinstance(v, RationalPolynomial) else RationalPolynomial((v,))
 
 
 class RationalPolynomial:
@@ -78,8 +83,31 @@ class RationalPolynomial:
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coeffs)!r})"
 
+    # -- ring operations; an int or Fraction operand is a constant ----
+
     def __neg__(self) -> "RationalPolynomial":
         return RationalPolynomial(-c for c in self.coeffs)
+
+    def __add__(self, other) -> "RationalPolynomial":
+        o = _poly(other)
+        return RationalPolynomial(
+            a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)
+        )
+
+    def __sub__(self, other) -> "RationalPolynomial":
+        return self + -_poly(other)
+
+    def __mul__(self, other) -> "RationalPolynomial":
+        o = _poly(other)
+        if self.is_zero or o.is_zero:
+            return RationalPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] += a * b
+        return RationalPolynomial(out)
+
+    __rmul__ = __mul__
 
     # -- exact operations --------------------------------------------
 

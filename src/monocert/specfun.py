@@ -2,10 +2,12 @@
 
 Strategy for every special function here: push the argument up to at
 least 8 with the exact recurrences, then sum the Bernoulli asymptotic
-series truncated at the B10 term.  For real positive arguments those
-series envelop the true value (consecutive Bernoulli terms alternate
-in sign), so the truncation error is at most the first omitted term;
-that term, evaluated in interval arithmetic, is added symmetrically.
+series truncated at the B10 term; one table of Bernoulli numbers
+gives the coefficients of log Gamma and of every polygamma order.  For
+real positive arguments those series envelop the true value
+(consecutive Bernoulli terms alternate in sign), so the truncation
+error is at most the first omitted term; that term, evaluated in
+interval arithmetic, is added symmetrically.
 
 The elementary two-sided bounds (`digamma_bounds`, `polygamma_bounds`,
 `log1p_bounds`) are independent of the series route on purpose: the
@@ -30,52 +32,34 @@ __all__ = [
     "log1p_bounds",
     "BoundPair",
     "IntervalPolynomial",
-    "eval_interval_poly",
     "certify_positive_interval_poly",
 ]
 
 _SHIFT_THRESHOLD = 8.0
 
-# B_{2n}/(2n(2n-1)) for the log-gamma series, n = 1..5; the tail
-# coefficient is |B_12|/(12*11).
-_LGAMMA_COEFFS = (
-    Fraction(1, 12),
-    Fraction(-1, 360),
-    Fraction(1, 1260),
-    Fraction(-1, 1680),
-    Fraction(1, 1188),
-)
-_LGAMMA_TAIL = Fraction(691, 360360)
-
-# B_{2n}/(2n) for psi, n = 1..5; tail |B_12|/12.
-_PSI_COEFFS = (
-    Fraction(1, 12),
-    Fraction(-1, 120),
-    Fraction(1, 252),
-    Fraction(-1, 240),
-    Fraction(1, 132),
-)
-_PSI_TAIL = Fraction(691, 32760)
-
-# B_{2n} for psi', n = 1..5; tail |B_12|.
-_PSI1_COEFFS = (
+# Bernoulli numbers B_2, B_4, ..., B_12: the only series data.
+_BERNOULLI = (
     Fraction(1, 6),
     Fraction(-1, 30),
     Fraction(1, 42),
     Fraction(-1, 30),
     Fraction(5, 66),
+    Fraction(-691, 2730),
 )
-_PSI1_TAIL = Fraction(691, 2730)
 
-# (2n+1) B_{2n} for psi'', n = 1..5; tail 13 |B_12|.
-_PSI2_COEFFS = (
-    Fraction(1, 2),
-    Fraction(-1, 6),
-    Fraction(1, 6),
-    Fraction(-3, 10),
-    Fraction(5, 6),
-)
-_PSI2_TAIL = Fraction(8983, 2730)
+
+def _series_coefficients(k: int) -> tuple:
+    """(-1)^(k+1) B_2n (2n+k-1)!/(2n)! for n = 1..6: the coefficient of
+    y^-(2n+k) in the asymptotic series of psi^(k)(y), where k = -1
+    stands for log Gamma(y).  The n = 6 term bounds the truncation
+    error."""
+    return tuple(
+        (-1) ** (k + 1) * b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
+        for n, b in enumerate(_BERNOULLI, 1)
+    )
+
+
+_SERIES = {k: _series_coefficients(k) for k in (-1, 0, 1, 2)}
 
 _HALF = Enclosure(0.5, 0.5)
 _HALF_LN_TWO_PI = (LN_PI + Enclosure(2.0, 2.0).log()) * _HALF
@@ -87,19 +71,33 @@ def _shift_count(x: Enclosure) -> int:
     return int(math.ceil(_SHIFT_THRESHOLD - x.lo))
 
 
-def _odd_inverse_powers(y: Enclosure, top: int) -> list[Enclosure]:
-    """[y**-1, y**-3, ..., y**-top] for odd top."""
-    inv = Enclosure(1.0, 1.0) / y
-    inv2 = inv * inv
-    out = [inv]
-    for _ in range(3, top + 1, 2):
-        out.append(out[-1] * inv2)
-    return out
-
-
 def _symmetric(r: Enclosure) -> Enclosure:
     m = max(abs(r.lo), abs(r.hi))
     return Enclosure(-m, m)
+
+
+def _asymptotic(k: int, y: Enclosure) -> Enclosure:
+    """psi^(k)(y), or log Gamma(y) for k = -1, from the Bernoulli series
+    with its first omitted term added symmetrically; needs y >= 8."""
+    inv = Enclosure(1.0, 1.0) / y
+    inv2 = inv * inv
+    if k == -1:
+        res = (y - _HALF) * y.log() - y + _HALF_LN_TWO_PI
+        p = inv
+    elif k == 0:
+        res = y.log() - inv * _HALF
+        p = inv2
+    elif k == 1:
+        res = inv + inv2 * _HALF
+        p = inv * inv2
+    else:
+        res = -(inv2 + inv * inv2)
+        p = inv2 * inv2
+    *terms, tail = _SERIES[k]
+    for c in terms:
+        res = res + Enclosure.from_rational(c) * p
+        p = p * inv2
+    return res + _symmetric(Enclosure.from_rational(tail) * p)
 
 
 def ln_gamma(x) -> Enclosure:
@@ -108,15 +106,7 @@ def ln_gamma(x) -> Enclosure:
     if xe.lo <= 0.0:
         raise DomainError(f"ln_gamma needs a positive argument, got {xe!r}")
     k = _shift_count(xe)
-    y = xe + k if k else xe
-
-    t = y.log()
-    res = (y - _HALF) * t - y + _HALF_LN_TWO_PI
-    powers = _odd_inverse_powers(y, 11)
-    for c, p in zip(_LGAMMA_COEFFS, powers):
-        res = res + Enclosure.from_rational(c) * p
-    res = res + _symmetric(Enclosure.from_rational(_LGAMMA_TAIL) * powers[5])
-
+    res = _asymptotic(-1, xe + k if k else xe)
     # log Gamma(x) = log Gamma(x + k) - sum log(x + j)
     for j in range(k):
         res = res - (xe + j).log()
@@ -135,42 +125,14 @@ def polygamma(k: int, x) -> Enclosure:
     if xe.lo <= 0.0:
         raise DomainError(f"polygamma needs a positive argument, got {xe!r}")
     shift = _shift_count(xe)
-    y = xe + shift if shift else xe
-    inv = Enclosure(1.0, 1.0) / y
-    inv2 = inv * inv
-
-    if k == 0:
-        res = y.log() - inv * _HALF
-        p = inv2
-        for c in _PSI_COEFFS:
-            res = res - Enclosure.from_rational(c) * p
-            p = p * inv2
-        res = res + _symmetric(Enclosure.from_rational(_PSI_TAIL) * p)
-        for j in range(shift):
-            res = res - Enclosure(1.0, 1.0) / (xe + j)
-        return res
-
-    if k == 1:
-        res = inv + inv2 * _HALF
-        p = inv * inv2
-        for c in _PSI1_COEFFS:
-            res = res + Enclosure.from_rational(c) * p
-            p = p * inv2
-        res = res + _symmetric(Enclosure.from_rational(_PSI1_TAIL) * p)
-        for j in range(shift):
-            xj = xe + j
-            res = res + Enclosure(1.0, 1.0) / (xj * xj)
-        return res
-
-    res = -(inv2 + inv * inv2)
-    p = inv2 * inv2
-    for c in _PSI2_COEFFS:
-        res = res - Enclosure.from_rational(c) * p
-        p = p * inv2
-    res = res + _symmetric(Enclosure.from_rational(_PSI2_TAIL) * p)
+    res = _asymptotic(k, xe + shift if shift else xe)
+    numerator = Enclosure.point((-1) ** (k + 1) * math.factorial(k))
     for j in range(shift):
-        xj = xe + j
-        res = res - Enclosure(2.0, 2.0) / (xj * xj * xj)
+        # not pow_int: its leading 1 * xj would widen the power by an ulp
+        xj = power = xe + j
+        for _ in range(k):
+            power = power * xj
+        res = res + numerator / power
     return res
 
 
@@ -250,10 +212,6 @@ class IntervalPolynomial:
 
     def __repr__(self) -> str:
         return f"IntervalPolynomial({list(self.coeffs)!r})"
-
-
-def eval_interval_poly(p: IntervalPolynomial, x) -> Enclosure:
-    return p.eval(x)
 
 
 def certify_positive_interval_poly(p: IntervalPolynomial, a) -> PositivityCertificate:

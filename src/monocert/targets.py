@@ -18,7 +18,9 @@ functions and logarithms contribute interval width.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .enclosure import DomainError, Enclosure, EULER_GAMMA, LN_PI
 from .exactpoly import RationalPolynomial
@@ -29,13 +31,9 @@ __all__ = [
     "GuardZoneError",
     "LEMMA_POLYS",
     "LEMMA_VALUE_AT_ONE",
-    "P6_PAIRS",
-    "H2_PAIRS",
-    "MIDDLE_PAIRS",
     "RATE_NUMERATOR",
+    "LOG_PI_POLYS",
     "CHAIN_TOKENS",
-    "pair_derivative",
-    "interval_poly_from_pairs",
     "chain_interval_poly",
     "gamma_log_ratio",
     "log_ball_volume_root",
@@ -77,6 +75,8 @@ def _exact(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite argument {x!r}")
         return Fraction(x)  # floats are dyadic rationals, exact
     raise DomainError(f"unsupported scalar type {type(x).__name__}")
 
@@ -96,64 +96,61 @@ _P5 = RationalPolynomial((-1, -3, 0, 6, 5, 1))  # x^5 + 5x^4 + 6x^3 - 3x - 1
 LEMMA_POLYS = {"p1": _P1, "p2": _P2, "p3": _P3, "p4": _P4, "p5": _P5}
 LEMMA_VALUE_AT_ONE = {"p1": 2, "p2": 2, "p3": 12, "p4": 8, "p5": 8}
 
-# psi-weight of fg_ratio_core: x^4 + 4x^3 - 2x^2 - 4x - 3
-_CORE_PSI_WEIGHT = RationalPolynomial((-3, -4, -2, 4, 1))
 # (x+1)(x^2+1) and x^2+2x-1, the pieces of fg_ratio
 _CUBIC_NUM = RationalPolynomial((1, 1, 1, 1))
 _QUAD_DEN = RationalPolynomial((-1, 2, 1))
+# psi-weight of fg_ratio_core, by the quotient rule on fg_ratio
+_CORE_PSI_WEIGHT = _CUBIC_NUM.derivative() * _QUAD_DEN - _CUBIC_NUM * _QUAD_DEN.derivative()
 
 # degree-6 numerator of the rational lower bound on the core's rate
 RATE_NUMERATOR = RationalPolynomial((8, -2, -31, 8, 86, 66, 13))
 
-# (a, b) meaning the coefficient a + b*ln(pi), ascending degree
-P6_PAIRS = ((216, -288), (2832, -1536), (4800, -1680), (1800, -480))
-H2_PAIRS = (
-    (4, -8),
-    (-12, -28),
-    (13, -12),
-    (-36, 48),
-    (-118, 64),
-    (-80, 28),
-    (-15, 4),
-)
+# A polynomial whose coefficients are a + b*ln(pi) is held as the pair
+# (rational part, ln-pi part) of RationalPolynomials.
+_X = RationalPolynomial((0, 1))
+
 # rational-plus-log bound on the slope chain's second member, before the
 # logarithm inequality is applied: (MIDDLE + 4*p5*ln(x+1)) / (x+1)^2
-MIDDLE_PAIRS = ((-2, 4), (11, 12), (0, 0), (18, -24), (26, -20), (7, -4))
+_MIDDLE = (
+    RationalPolynomial((-2, 11, 0, 18, 26, 7)),
+    -4 * (_X + 1) * (_X + 1) * _P1,
+)
+# ln(1+x) >= 2x/(2+x) turns that bound into -h2 / ((x+1)^2 (x+2))
+_H2 = (
+    -(_MIDDLE[0] * (_X + 2) + 8 * _X * _P5),
+    -(_MIDDLE[1] * (_X + 2)),
+)
 
 
-def pair_derivative(pairs):
-    """Formal derivative at the (a, b) pair level, exactly."""
-    return tuple((i * a, i * b) for i, (a, b) in enumerate(pairs) if i > 0)
+def _derivative(pair) -> tuple:
+    return tuple(p.derivative() for p in pair)
 
 
-def interval_poly_from_pairs(pairs) -> IntervalPolynomial:
-    return IntervalPolynomial(
-        tuple(_enc(Fraction(a)) + _enc(Fraction(b)) * LN_PI for a, b in pairs)
-    )
-
-
-_H2P_PAIRS = pair_derivative(H2_PAIRS)
-_H2PP_PAIRS = pair_derivative(_H2P_PAIRS)
-_H2PPP_PAIRS = pair_derivative(_H2PP_PAIRS)
-
-_CHAIN_PAIRS = {
-    "h2": H2_PAIRS,
-    "h2p": _H2P_PAIRS,
-    "h2pp": _H2PP_PAIRS,
-    "h2ppp": _H2PPP_PAIRS,
-}
+# the chain's polynomial tail h2, its first three derivatives, and the
+# lemma's p6 = -h2'''
+LOG_PI_POLYS = {"h2": _H2}
+LOG_PI_POLYS["h2p"] = _derivative(LOG_PI_POLYS["h2"])
+LOG_PI_POLYS["h2pp"] = _derivative(LOG_PI_POLYS["h2p"])
+LOG_PI_POLYS["h2ppp"] = _derivative(LOG_PI_POLYS["h2pp"])
+LOG_PI_POLYS["p6"] = tuple(-p for p in LOG_PI_POLYS["h2ppp"])
 
 CHAIN_TOKENS = ("h", "h1", "h2", "h2p", "h2pp", "h2ppp")
+
+
+def _interval_poly(pair) -> IntervalPolynomial:
+    rational, log_pi = pair
+    return IntervalPolynomial(tuple(
+        _enc(a) + _enc(b) * LN_PI
+        for a, b in zip_longest(rational.coeffs, log_pi.coeffs, fillvalue=Fraction(0))
+    ))
 
 
 def chain_interval_poly(which: str) -> IntervalPolynomial:
     """Interval polynomial for a polynomial chain member (h2 and its
     derivatives) or "p6"."""
-    if which == "p6":
-        return interval_poly_from_pairs(P6_PAIRS)
-    if which in _CHAIN_PAIRS:
-        return interval_poly_from_pairs(_CHAIN_PAIRS[which])
-    raise DomainError(f"no interval polynomial named {which!r}")
+    if which not in LOG_PI_POLYS:
+        raise DomainError(f"no interval polynomial named {which!r}")
+    return _interval_poly(LOG_PI_POLYS[which])
 
 
 # --- the two continuous targets ---
@@ -327,13 +324,13 @@ def fg_ratio_core(x) -> Enclosure:
 
 
 def fg_ratio_core_rate(x) -> Enclosure:
-    """The core's derivative, transcribed as the displayed combination
+    """The core's derivative, as the displayed combination
 
         4 p1(x) psi(x+1) + 2 p3(x) psi'(x+1) + p4(x) psi''(x+1)
 
-    on purpose verbatim rather than derived from fg_ratio_core, so the
-    finite-difference cross-check in the test suite can catch a
-    transcription slip in either form.
+    It is d/dx fg_ratio_core exactly because the core's psi-weight W
+    satisfies W' = 4 p1 and W + p4' = 2 p3; the test suite checks both
+    identities in exact arithmetic.
     """
     xq = _require_at_least_one(x, "fg_ratio_core_rate")
     x1 = _enc(xq + 1)
@@ -405,7 +402,7 @@ def chain_rate_bound_with_log(x) -> Enclosure:
         [MIDDLE(x) + 4 p5(x) ln(x+1)] / (x+1)^2
     """
     xq = _require_at_least_one(x, "chain_rate_bound_with_log")
-    middle = interval_poly_from_pairs(MIDDLE_PAIRS).eval(_enc(xq))
+    middle = _interval_poly(_MIDDLE).eval(_enc(xq))
     logpart = _enc(4 * _P5.eval_at(xq)) * _enc(xq + 1).log()
     return (middle + logpart) / _enc((xq + 1) ** 2)
 

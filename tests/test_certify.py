@@ -31,7 +31,7 @@ from monocert.certify import (
 from monocert.enclosure import DomainError, Enclosure
 from monocert.exactpoly import RationalPolynomial
 from monocert.specfun import IntervalPolynomial
-from monocert.targets import P6_PAIRS, gamma_log_ratio, log_ball_volume_root
+from monocert.targets import LOG_PI_POLYS, gamma_log_ratio, log_ball_volume_root
 
 
 def _ids(report: VerificationReport):
@@ -159,7 +159,11 @@ def test_constant_term_mutant_breaks_sign_change_count():
 def test_logpi_mutant_breaks_coefficient_signs():
     # replacing the log-pi constant by 2 flips the linear coefficient
     # of the interval cubic negative: sign pattern check goes red
-    mutant = IntervalPolynomial(tuple(a + 2 * b for a, b in P6_PAIRS))
+    rational, log_pi = LOG_PI_POLYS["p6"]
+    assert len(rational.coeffs) == len(log_pi.coeffs) == 4
+    mutant = IntervalPolynomial(
+        tuple(a + 2 * b for a, b in zip(rational.coeffs, log_pi.coeffs))
+    )
     r = verify_lemma2(polys={"p6": mutant})
     assert r.overall == FAIL
     assert "lemma2/16-p6-positive" in _failed_ids(r)
@@ -188,6 +192,20 @@ def test_grid_certificate_snaps_near_integer_points():
     assert cert.status == "certified"
     assert 1.0 in cert.grid
     assert all(abs(p - 1.0) > 1e-9 or p == 1.0 for p in cert.grid)
+
+
+@pytest.mark.parametrize("mid_value, status", [
+    (Enclosure(-5.0, -4.0), FAIL),        # below both ends: refuted
+    (Enclosure(1.5, 1.75), INCONCLUSIVE),  # inside the overlap: undecided
+])
+def test_grid_certificate_midpoint_refutation(monkeypatch, mid_value, status):
+    # values at 0 and 1 overlap, so only the midpoint can decide the pair
+    values = {0.0: Enclosure(0.0, 2.0), 0.5: mid_value, 1.0: Enclosure(1.0, 3.0)}
+    monkeypatch.setitem(certify._GRID_FUNCTIONS, "overlap_stub", values.__getitem__)
+    cert = grid_monotone_certificate("overlap_stub", 0.0, 1.0, 1.0, "increasing")
+    assert cert.status == status
+    assert cert.verified_pairs == 0
+    assert cert.offending_pair == (0.0, 1.0)
 
 
 def test_grid_certificate_validation():

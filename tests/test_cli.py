@@ -55,6 +55,9 @@ def test_eval_domain_and_overflow_errors(capsys):
     assert main(["eval", "omega", "0"]) == 2
     assert main(["eval", "F", "abc"]) == 2
     capsys.readouterr()
+    for bad in ("nan", "inf"):
+        assert main(["eval", "F", bad]) == 2, bad
+        assert "binary64" not in capsys.readouterr().err, bad
 
 
 def test_eval_unknown_target_is_usage_error():
@@ -90,6 +93,20 @@ def test_verify_accepts_grid_flags(capsys):
                "--grid-from", "0", "--grid-to", "2", "--grid-step", "0.01"])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_verify_partial_grid_flags_take_defaults(capsys):
+    assert main(["verify", "theorem1", "--grid-to", "2", "--format", "json"]) == 0
+    grid_step = json.loads(capsys.readouterr().out)["steps"][-1]
+    assert "[0.0, 2.0] (201 points)" in grid_step["description"]
+
+
+def test_verify_refuses_oversized_grid(capsys):
+    # about 5e10 points: refused before the grid is built
+    assert main(["verify", "theorem1", "--grid-step", "1e-9"]) == 2
+    assert "points" in capsys.readouterr().err
+    assert main(["verify", "theorem2", "--grid-to", "inf"]) == 2
+    assert "points" in capsys.readouterr().err
 
 
 def test_verify_n_max_flag(capsys):

@@ -72,6 +72,20 @@ def test_derivative_is_linear(p, q):
     assert lhs == rhs
 
 
+@given(small_polys, small_polys, rationals)
+def test_ring_operations_evaluation_identity(p, q, t):
+    assert (p + q).eval_at(t) == p.eval_at(t) + q.eval_at(t)
+    assert (p - q).eval_at(t) == p.eval_at(t) - q.eval_at(t)
+    assert (p * q).eval_at(t) == p.eval_at(t) * q.eval_at(t)
+
+
+@given(small_polys, rationals, rationals)
+def test_ring_operations_with_constants(p, c, t):
+    assert (p + c).eval_at(t) == p.eval_at(t) + c
+    assert (p - c).eval_at(t) == p.eval_at(t) - c
+    assert (c * p).eval_at(t) == (p * c).eval_at(t) == c * p.eval_at(t)
+
+
 def test_derivative_example():
     p = RationalPolynomial([5, -3, 0, 2])  # 2x^3 - 3x + 5
     assert p.derivative() == RationalPolynomial([-3, 0, 6])

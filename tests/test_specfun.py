@@ -18,7 +18,6 @@ from monocert.specfun import (
     IntervalPolynomial,
     certify_positive_interval_poly,
     digamma_bounds,
-    eval_interval_poly,
     ln_gamma,
     log1p_bounds,
     polygamma,
@@ -140,7 +139,7 @@ def test_interval_polynomial_eval_and_derivative():
     d = p.derivative()
     assert d.degree == 1
     assert d.eval(Enclosure.point(3.0)).contains(Fraction(4))
-    assert eval_interval_poly(p, 3.0).contains(Fraction(4))
+    assert p.eval(3.0).contains(Fraction(4))
 
 
 def test_interval_certify_positive():

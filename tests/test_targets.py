@@ -11,7 +11,11 @@ import mpmath
 import pytest
 
 from monocert.enclosure import DomainError, Enclosure, LN_PI
+from monocert.exactpoly import RationalPolynomial
 from monocert.targets import (
+    _CORE_PSI_WEIGHT,
+    _CUBIC_NUM,
+    _QUAD_DEN,
     CHAIN_TOKENS,
     GUARD_RADIUS,
     GuardZoneError,
@@ -34,7 +38,6 @@ from monocert.targets import (
     log_unit_ball_volume,
     log_volume_sequence_value,
     omega_sequence_term,
-    pair_derivative,
     unit_ball_volume,
     volume_sequence_value,
 )
@@ -146,13 +149,34 @@ def test_fg_ratio_core_rate_matches_psi_combination():
         assert _contains(fg_ratio_core_rate(x), _fr(truth)), x
 
 
-def test_fg_ratio_core_rate_finite_difference():
-    h = 1e-5
-    for x in (1.5, 3.0, 8.0):
-        fd = (fg_ratio_core(x + h) - fg_ratio_core(x - h)) / (2 * h)
-        rate = fg_ratio_core_rate(x)
-        tol = fd.width + rate.width + 1e-3
-        assert abs(fd.mid - rate.mid) < tol, x
+def test_core_is_the_slope_ratio_derivative_numerator():
+    # fg_ratio = C psi(x+1) / Q, so its derivative has numerator
+    # (C'Q - CQ') psi(x+1) + CQ psi'(x+1): the core, if CQ = p4
+    assert _CUBIC_NUM * _QUAD_DEN == LEMMA_POLYS["p4"]
+
+
+def test_core_rate_is_the_core_derivative_exactly():
+    # d/dx [W psi + p4 psi'] = W' psi + (W + p4') psi' + p4 psi'', which
+    # is the displayed rate 4 p1 psi + 2 p3 psi' + p4 psi'' exactly when
+    # W' = 4 p1 and W + p4' = 2 p3
+    w, p4 = _CORE_PSI_WEIGHT, LEMMA_POLYS["p4"]
+    assert w.derivative() == 4 * LEMMA_POLYS["p1"]
+    assert w + p4.derivative() == 2 * LEMMA_POLYS["p3"]
+
+
+def test_rate_lower_bound_is_the_substituted_rate_exactly():
+    # psi(x+1) >= 2x/(x+2) - 1/(x+1), psi'(x+1) >= 1/(x+1) + 1/(2(x+1)^2)
+    # and |psi''(x+1)| <= 1/(x+1)^2 + 2/(x+1)^3 put into the rate give
+    # RATE_NUMERATOR / ((x+1)^2 (x+2)); both sides times 2(x+1)^3(x+2)
+    x = RationalPolynomial((0, 1))
+    a, b = x + 1, x + 2
+    p1, p3, p4 = LEMMA_POLYS["p1"], LEMMA_POLYS["p3"], LEMMA_POLYS["p4"]
+    cleared = (
+        4 * p1 * (4 * x * a * a * a - 2 * a * a * b)
+        + 2 * p3 * (2 * a * a * b + a * b)
+        - p4 * (2 * a * b + 4 * b)
+    )
+    assert cleared == 2 * a * RATE_NUMERATOR
 
 
 def test_rate_lower_bound_exact_and_lifted():
@@ -229,11 +253,6 @@ def test_third_derivative_is_negated_quartic_table():
     assert a.degree == b.degree == 3
     for ca, cb in zip(a.coeffs, b.coeffs):
         assert ca.lo == -cb.hi and ca.hi == -cb.lo
-
-
-def test_pair_derivative_formal_rule():
-    assert pair_derivative(((1, 2), (3, 4), (5, 6))) == ((3, 4), (10, 12))
-    assert pair_derivative(((7, 7),)) == ()
 
 
 def test_chain_finite_differences():
