@@ -51,6 +51,8 @@ _EVAL_TARGETS = {
 }
 
 _SEQUENCE_MINIMUM = {"unit": 1, "inv_n": 1, "inv_nlnn": 2, "paper": 3}
+# every row is held before output, so a table is capped like a grid
+_MAX_SEQUENCE_ROWS = 10 ** 6
 
 
 def _canonical_json(obj) -> str:
@@ -158,6 +160,10 @@ def _cmd_sequence(args) -> int:
     if args.n_from < lo_n:
         return _fail_usage(
             f"exponent {mode!r} is defined from n = {lo_n}, got n_from = {args.n_from}"
+        )
+    if args.n_to - args.n_from + 1 > _MAX_SEQUENCE_ROWS:
+        return _fail_usage(
+            f"{args.n_from} .. {args.n_to} has more than {_MAX_SEQUENCE_ROWS} rows"
         )
     rows = []
     prev = None

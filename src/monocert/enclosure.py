@@ -71,11 +71,16 @@ class Enclosure:
     @classmethod
     def from_rational(cls, q: Fraction) -> "Enclosure":
         """Tightest float enclosure of an exact rational."""
-        f = float(q)
-        fq = Fraction(f)
-        if fq == q:
+        n, d = q.numerator, q.denominator
+        # int / int is correctly rounded (it is what float(q) computes)
+        # and raises OverflowError beyond binary64
+        f = n / d
+        fn, fd = f.as_integer_ratio()
+        # sign of f - q, by cross-multiplying over the positive denominators
+        diff = fn * d - n * fd
+        if diff == 0:
             return cls(f, f)
-        if fq < q:
+        if diff < 0:
             return cls(f, _up(f))
         return cls(_down(f), f)
 
@@ -126,37 +131,47 @@ class Enclosure:
         return Enclosure(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Enclosure":
-        o = _lift(other)
-        return Enclosure(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        o = other if type(other) is Enclosure else _lift(other)
+        return _outward(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Enclosure":
-        o = _lift(other)
-        return Enclosure(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        o = other if type(other) is Enclosure else _lift(other)
+        return _outward(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other) -> "Enclosure":
         return _lift(other) - self
 
     def __mul__(self, other) -> "Enclosure":
-        o = _lift(other)
-        a = self.lo * o.lo
-        b = self.lo * o.hi
-        c = self.hi * o.lo
-        d = self.hi * o.hi
-        return Enclosure(_down(min(a, b, c, d)), _up(max(a, b, c, d)))
+        o = other if type(other) is Enclosure else _lift(other)
+        lo, hi, olo, ohi = self.lo, self.hi, o.lo, o.hi
+        # Sign cases: with o >= 0 the exact extremes of the four
+        # products are known, and rounding is monotone, so these give
+        # the same floats as min/max below (up to the sign of a zero,
+        # which moving outward erases).
+        if olo >= 0.0:
+            if lo >= 0.0:
+                return _outward(lo * olo, hi * ohi)
+            if hi <= 0.0:
+                return _outward(lo * ohi, hi * olo)
+        a = lo * olo
+        b = lo * ohi
+        c = hi * olo
+        d = hi * ohi
+        return _outward(min(a, b, c, d), max(a, b, c, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Enclosure":
-        o = _lift(other)
+        o = other if type(other) is Enclosure else _lift(other)
         if o.lo <= 0.0 <= o.hi:
             raise DomainError(f"division by enclosure straddling zero {o!r}")
         a = self.lo / o.lo
         b = self.lo / o.hi
         c = self.hi / o.lo
         d = self.hi / o.hi
-        return Enclosure(_down(min(a, b, c, d)), _up(max(a, b, c, d)))
+        return _outward(min(a, b, c, d), max(a, b, c, d))
 
     def __rtruediv__(self, other) -> "Enclosure":
         return _lift(other) / self
@@ -191,6 +206,30 @@ class Enclosure:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Enclosure":
         return cls(float(obj["lo"]), float(obj["hi"]))
+
+
+_nextafter = math.nextafter
+_object_new = object.__new__
+
+
+def _outward(lo: float, hi: float) -> Enclosure:
+    """The result of + - * /: lo and hi are the rounded-to-nearest
+    extremes, each moved one ulp outward here.
+
+    No float() and no order check: the lower extreme rounds an exact
+    value no larger than the one the upper extreme rounds, rounding is
+    monotone, and moving outward only separates them.  The finite check
+    stays, so a result that overflowed still raises DomainError.
+    Finite operands never give NaN, and the check would reject one.
+    """
+    lo = _nextafter(lo, -_INF)
+    hi = _nextafter(hi, _INF)
+    if not (-_INF < lo and hi < _INF):
+        raise DomainError(f"non-finite enclosure endpoints [{lo}, {hi}]")
+    e = _object_new(Enclosure)
+    e.lo = lo
+    e.hi = hi
+    return e
 
 
 def _lift(v) -> Enclosure:

@@ -49,18 +49,21 @@ _BERNOULLI = (
 
 
 def _series_coefficients(k: int) -> tuple:
-    """(-1)^(k+1) B_2n (2n+k-1)!/(2n)! for n = 1..6: the coefficient of
-    y^-(2n+k) in the asymptotic series of psi^(k)(y), where k = -1
-    stands for log Gamma(y).  The n = 6 term bounds the truncation
-    error."""
+    """Enclosures of (-1)^(k+1) B_2n (2n+k-1)!/(2n)! for n = 1..6: the
+    coefficient of y^-(2n+k) in the asymptotic series of psi^(k)(y),
+    where k = -1 stands for log Gamma(y).  The n = 6 term bounds the
+    truncation error."""
     return tuple(
-        (-1) ** (k + 1) * b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
+        Enclosure.from_rational(
+            (-1) ** (k + 1) * b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
+        )
         for n, b in enumerate(_BERNOULLI, 1)
     )
 
 
 _SERIES = {k: _series_coefficients(k) for k in (-1, 0, 1, 2)}
 
+_ONE = Enclosure(1.0, 1.0)
 _HALF = Enclosure(0.5, 0.5)
 _HALF_LN_TWO_PI = (LN_PI + Enclosure(2.0, 2.0).log()) * _HALF
 
@@ -79,7 +82,7 @@ def _symmetric(r: Enclosure) -> Enclosure:
 def _asymptotic(k: int, y: Enclosure) -> Enclosure:
     """psi^(k)(y), or log Gamma(y) for k = -1, from the Bernoulli series
     with its first omitted term added symmetrically; needs y >= 8."""
-    inv = Enclosure(1.0, 1.0) / y
+    inv = _ONE / y
     inv2 = inv * inv
     if k == -1:
         res = (y - _HALF) * y.log() - y + _HALF_LN_TWO_PI
@@ -95,9 +98,9 @@ def _asymptotic(k: int, y: Enclosure) -> Enclosure:
         p = inv2 * inv2
     *terms, tail = _SERIES[k]
     for c in terms:
-        res = res + Enclosure.from_rational(c) * p
+        res = res + c * p
         p = p * inv2
-    return res + _symmetric(Enclosure.from_rational(tail) * p)
+    return res + _symmetric(tail * p)
 
 
 def ln_gamma(x) -> Enclosure:

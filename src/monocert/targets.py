@@ -60,9 +60,10 @@ __all__ = [
 # in interval arithmetic; callers get the exact limit value at the
 # singular point itself and an error elsewhere in the zone.
 GUARD_RADIUS = 2.0 ** -20
+_GUARD = Fraction(GUARD_RADIUS)
 
 
-class GuardZoneError(ValueError):
+class GuardZoneError(DomainError):
     """Argument fell inside a guard zone: too close to a removable
     singularity for a meaningful enclosure, but not exactly on it."""
 
@@ -156,14 +157,10 @@ def chain_interval_poly(which: str) -> IntervalPolynomial:
 # --- the two continuous targets ---
 
 
-def _log_poly_quotient(xq: Fraction) -> Enclosure:
-    """ln(x^2+1) - ln(x+1), both arguments exact."""
-    return _enc(xq * xq + 1).log() - _enc(xq + 1).log()
-
-
-def _in_guard_zone(xq: Fraction, center: int) -> bool:
-    d = xq - center
-    return abs(d) <= Fraction(GUARD_RADIUS) and d != 0
+def _log_poly_quotient(xq: Fraction, x1: Enclosure) -> Enclosure:
+    """ln(x^2+1) - ln(x+1), both arguments exact; x1 is _enc(xq + 1),
+    which the callers also hand to the special functions."""
+    return _enc(xq * xq + 1).log() - x1.log()
 
 
 def gamma_log_ratio(x) -> Enclosure:
@@ -182,28 +179,35 @@ def gamma_log_ratio(x) -> Enclosure:
         return EULER_GAMMA
     if xq == 1:
         return (Enclosure(1.0, 1.0) - EULER_GAMMA) * 2
-    if _in_guard_zone(xq, 0) or _in_guard_zone(xq, 1):
+    if xq <= _GUARD or abs(xq - 1) <= _GUARD:  # xq is neither 0 nor 1
         raise GuardZoneError(
             f"x={x!r} is within {GUARD_RADIUS} of a removable singularity; "
             "evaluate at the singular point itself for the exact value"
         )
-    return ln_gamma(_enc(xq + 1)) / _log_poly_quotient(xq)
+    x1 = _enc(xq + 1)
+    return ln_gamma(x1) / _log_poly_quotient(xq, x1)
 
 
 def log_ball_volume_root(x) -> Enclosure:
     """ln of ball_volume_root: [x ln pi - ln Gamma(x+1)] / [ln(x^2+1) - ln(x+1)].
 
-    Defined for x > 1 + GUARD_RADIUS.  The log form is the workhorse:
-    the value itself overflows binary64 once x drops near 1, and the
-    large-n sequence trends only make sense in log scale.
+    Defined for x > 1 + GUARD_RADIUS; x <= 1 raises DomainError and the
+    guard zone 1 < x <= 1 + GUARD_RADIUS raises GuardZoneError.  The log
+    form is the workhorse: the value itself overflows binary64 once x
+    drops near 1, and the large-n sequence trends only make sense in log
+    scale.
     """
     xq = _exact(x)
-    if xq <= 1 + Fraction(GUARD_RADIUS):
-        raise DomainError(
-            f"log_ball_volume_root needs x > 1 + {GUARD_RADIUS}, got {x!r}"
+    if xq <= 1:
+        raise DomainError(f"log_ball_volume_root needs x > 1, got {x!r}")
+    if xq - 1 <= _GUARD:
+        raise GuardZoneError(
+            f"x={x!r} is within {GUARD_RADIUS} of the singular edge at 1, "
+            "where the quotient is 0/0"
         )
-    num = LN_PI * _enc(xq) - ln_gamma(_enc(xq + 1))
-    return num / _log_poly_quotient(xq)
+    x1 = _enc(xq + 1)
+    num = LN_PI * _enc(xq) - ln_gamma(x1)
+    return num / _log_poly_quotient(xq, x1)
 
 
 def ball_volume_root(x) -> Enclosure:
@@ -359,12 +363,13 @@ def fg_ratio_core_rate_lower_bound(x):
 
 
 def _chain_h(xq: Fraction) -> Enclosure:
+    x1 = _enc(xq + 1)
     weight = _enc(_CUBIC_NUM.eval_at(xq) / _QUAD_DEN.eval_at(xq))
-    log_term = LN_PI - polygamma(0, _enc(xq + 1))
+    log_term = LN_PI - polygamma(0, x1)
     return (
-        weight * log_term * _log_poly_quotient(xq)
+        weight * log_term * _log_poly_quotient(xq, x1)
         - LN_PI * _enc(xq)
-        + ln_gamma(_enc(xq + 1))
+        + ln_gamma(x1)
     )
 
 

@@ -1,8 +1,10 @@
 """Command line surface: argument handling, exit codes, output
 formats, file emission. Everything goes through cli.main(argv)."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,14 @@ def test_eval_guard_zone_is_inconclusive(capsys):
     assert main(["eval", "F", "1e-9"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("inconclusive:")
+
+
+def test_eval_ball_root_guard_zone_is_inconclusive(capsys):
+    # G's guard zone above 1 behaves like F's; at or below 1 is a domain error
+    assert main(["eval", "G", "1.0000001"]) == 3
+    assert capsys.readouterr().err.startswith("inconclusive:")
+    assert main(["eval", "G", "1"]) == 2
+    capsys.readouterr()
 
 
 def test_eval_domain_and_overflow_errors(capsys):
@@ -164,6 +174,19 @@ def test_sequence_range_validation(capsys):
     capsys.readouterr()
 
 
+def test_sequence_refuses_oversized_range(capsys, monkeypatch):
+    # the cap is checked on a small one first, so a missing cap fails
+    # here instead of starting a runaway table below
+    monkeypatch.setattr(cli, "_MAX_SEQUENCE_ROWS", 5)
+    assert main(["sequence", "3", "7", "paper"]) == 0
+    assert main(["sequence", "3", "8", "paper"]) == 2
+    monkeypatch.undo()
+    assert cli._MAX_SEQUENCE_ROWS == 10**6
+    capsys.readouterr()
+    assert main(["sequence", "3", "100000000000", "paper"]) == 2
+    assert "rows" in capsys.readouterr().err
+
+
 def test_sequence_unknown_exponent(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sequence", "3", "5", "mystery"])
@@ -189,6 +212,17 @@ def test_report_all_bundle(tmp_path, capsys):
     obj = json.loads((out / "theorem2.json").read_text())
     assert obj["overall"] == "pass"
     assert len(obj["steps"]) == 9
+
+
+def test_report_all_reproduces_replay_hashes(tmp_path, capsys):
+    # the benchmark's replay oracle: every report byte is pinned
+    pinned = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "replay_sha256.json").read_text()
+    )
+    assert main(["report-all", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_report_all_unwritable_destination(tmp_path, capsys):

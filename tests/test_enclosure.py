@@ -6,8 +6,11 @@ arithmetic on the float endpoints is the oracle.
 """
 
 import math
+import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -205,3 +208,159 @@ def test_json_round_trip_is_exact():
     assert set(obj) == {"lo", "hi"}
     back = Enclosure.from_json_obj(obj)
     assert back.lo == e.lo and back.hi == e.hi
+
+
+# -- from_rational against the Fraction round trip -------------------
+
+def _round_trip_from_rational(q: Fraction):
+    """The Fraction round-trip algorithm from_rational must agree with."""
+    f = float(q)
+    fq = Fraction(f)
+    if fq == q:
+        return f, f
+    if fq < q:
+        return f, math.nextafter(f, math.inf)
+    return math.nextafter(f, -math.inf), f
+
+
+_wide_ints = st.integers(min_value=-(10**40), max_value=10**40)
+_denominators = st.integers(min_value=1, max_value=10**40)
+
+
+@st.composite
+def rationals(draw):
+    kind = draw(st.sampled_from(("plain", "huge", "tiny", "float", "dyadic")))
+    n = draw(_wide_ints)
+    d = draw(_denominators)
+    if kind == "huge":  # around 1e300, past the top of binary64 too
+        return Fraction(n * 10 ** draw(st.integers(260, 310)), d)
+    if kind == "tiny":  # subnormal and below
+        return Fraction(n, d * 10 ** draw(st.integers(290, 330)))
+    if kind == "float":  # exactly representable, subnormals included
+        return Fraction(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "dyadic":
+        return Fraction(n, 2 ** draw(st.integers(0, 1200)))
+    return Fraction(n, d)
+
+
+@given(rationals())
+def test_from_rational_matches_round_trip(q):
+    try:
+        expected = _round_trip_from_rational(q)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            Enclosure.from_rational(q)
+        return
+    try:
+        e = Enclosure.from_rational(q)
+    except DomainError:
+        # one ulp above the largest float is infinite
+        assert math.isinf(expected[1])
+        return
+    assert (e.lo, e.hi) == expected
+    if e.lo == e.hi:
+        assert Fraction(e.lo) == q
+    else:
+        assert Fraction(e.lo) < q < Fraction(e.hi)
+        assert e.hi == math.nextafter(e.lo, math.inf)
+
+
+def test_from_rational_edge_cases():
+    tiny = Fraction(1, 3 * 2**1074)  # a third of the least subnormal
+    e = Enclosure.from_rational(tiny)
+    assert (e.lo, e.hi) == (0.0, 5e-324)
+    neg = Enclosure.from_rational(Fraction(-1, 3))
+    assert neg.lo < neg.hi < 0.0 and neg.contains(Fraction(-1, 3))
+    big = Fraction(10**300) / 7
+    e = Enclosure.from_rational(big)
+    assert (e.lo, e.hi) == _round_trip_from_rational(big)
+    top = Fraction(sys.float_info.max)
+    assert Enclosure.from_rational(top) == Enclosure.point(sys.float_info.max)
+    with pytest.raises(OverflowError):
+        Enclosure.from_rational(top * 2)
+    with pytest.raises(DomainError):  # rounds to the top, hi would be inf
+        Enclosure.from_rational(top + 1)
+
+
+# -- arithmetic results: order by construction, overflow still raises -
+
+_OVERFLOWING = (
+    lambda x: x * 10,
+    lambda x: 10.0 * x,
+    lambda x: x * x,
+    lambda x: x + x,
+    lambda x: x + 1e308,
+    lambda x: -x - x,
+    lambda x: 0.0 - x - 1e308,
+    lambda x: x / 0.1,
+    lambda x: -x / 1e-10,
+    lambda x: 1e308 / (1 / x),
+)
+
+
+def test_arithmetic_overflow_raises_domain_error():
+    big = Enclosure(1e308, 1e308)
+    for i, op in enumerate(_OVERFLOWING):
+        try:
+            op(big)
+        except DomainError:
+            continue
+        pytest.fail(f"overflowing operation {i} did not raise DomainError")
+
+
+@st.composite
+def signed_enclosures(draw):
+    ends = st.one_of(finite, st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+    a, b = draw(ends), draw(ends)
+    return Enclosure(min(a, b), max(a, b))
+
+
+@given(signed_enclosures(), signed_enclosures())
+def test_products_equal_the_four_product_rule(x, y):
+    # the sign cases of * must give exactly the min/max of all four
+    products = [a * b for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    expected = (math.nextafter(min(products), -math.inf),
+                math.nextafter(max(products), math.inf))
+    assert ((x * y).lo, (x * y).hi) == expected
+    assert ((y * x).lo, (y * x).hi) == expected
+
+
+# -- the trusted libm base against an independent oracle -------------
+
+_EXP_HARD = (
+    2.0**-53, -(2.0**-53), 2.0**-30, 1e-300, -1e-300, 0.5, 1.0,
+    math.log(2.0), 709.0, 709.78, 709.782, -708.3964185322641,
+    -708.39641853226, -720.0, -740.0, -744.44, -745.0,
+)
+_LOG_HARD = (
+    1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.0 + 2.0**-30, 1.0 - 2.0**-30,
+    0.9999999999, 1.0000000001, 5e-324, 1e-320, 2.2250738585072014e-308,
+    2.225073858507201e-308, sys.float_info.max, 2.0, 10.0, math.e,
+)
+
+
+def _seeded(n, low, high, seed):
+    rng = random.Random(seed)
+    return tuple(rng.uniform(low, high) for _ in range(n))
+
+
+def _check_libm(fn, oracle, enc, v):
+    """The enclosure holds the 50-digit value, and libm is within the
+    1 ulp the enclosure's 2-ulp widening assumes."""
+    with mpmath.workdps(50):
+        truth = oracle(mpmath.mpf(v))
+        assert mpmath.mpf(enc.lo) <= truth <= mpmath.mpf(enc.hi), v
+        r = fn(v)
+        assert abs(mpmath.mpf(r) - truth) <= math.ulp(r), v
+
+
+def test_exp_against_mpmath():
+    for v in _EXP_HARD + _seeded(200, -745.0, 709.78, 1):
+        _check_libm(math.exp, mpmath.exp, Enclosure.point(v).exp(), v)
+
+
+def test_log_against_mpmath():
+    exponents = random.Random(3).choices(range(-1074, 1024), k=200)
+    spread = tuple(map(math.ldexp, _seeded(200, 1.0, 2.0, 2), exponents))
+    for v in _LOG_HARD + _seeded(200, 0.5, 2.0, 4) + spread:
+        _check_libm(math.log, mpmath.log, Enclosure.point(v).log(), v)

@@ -113,6 +113,19 @@ def test_ball_volume_root_domain_error():
         log_ball_volume_root(1.0 + GUARD_RADIUS / 2)
 
 
+def test_ball_volume_root_guard_zone():
+    # inside the zone above 1 the answer is inconclusive, as for F
+    for x in (1.0 + GUARD_RADIUS / 2, 1.0 + GUARD_RADIUS, 1.0000001):
+        with pytest.raises(GuardZoneError):
+            log_ball_volume_root(x)
+    for x in (1.0, 0.5):
+        with pytest.raises(DomainError) as exc:
+            log_ball_volume_root(x)
+        assert not isinstance(exc.value, GuardZoneError), x
+    assert log_ball_volume_root(1.0 + 2 * GUARD_RADIUS).lo > 0.0
+    assert issubclass(GuardZoneError, DomainError)
+
+
 # -- slope ratio and its derivative core ----------------------------
 
 def test_fg_ratio_values():
