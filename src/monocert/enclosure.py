@@ -12,6 +12,7 @@ monotone: widening an input never shrinks an output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,14 +47,15 @@ class Enclosure:
     """Closed float interval [lo, hi] containing one exact real value.
 
     Instances are immutable by convention; arithmetic returns new
-    objects.  Both endpoints must be finite and ordered.
+    objects.  Both endpoints must be finite and ordered, and each must
+    be a real number that is a float already or converts to one exactly.
     """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        lo = float(lo)
-        hi = float(hi)
+        lo = lo if type(lo) is float else _endpoint(lo)
+        hi = hi if type(hi) is float else _endpoint(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"non-finite enclosure endpoints [{lo}, {hi}]")
         if lo > hi:
@@ -206,6 +208,20 @@ class Enclosure:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Enclosure":
         return cls(float(obj["lo"]), float(obj["hi"]))
+
+
+def _endpoint(v) -> float:
+    """float(v) for a real v that float() does not round.
+
+    A rounded endpoint could leave out the value it was meant to bound,
+    and float() would also parse a str, so both are refused.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"enclosure endpoint must be a real number, got {type(v).__name__}")
+    f = float(v)
+    if math.isfinite(f) and f != v:
+        raise DomainError(f"enclosure endpoint {v!r} is not exactly a binary64 value")
+    return f
 
 
 _nextafter = math.nextafter

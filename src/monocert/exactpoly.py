@@ -1,14 +1,24 @@
 """Exact rational polynomial arithmetic and positivity certificates.
 
-Coefficients are `fractions.Fraction` values stored in ascending order
-(constant term first), so every evaluation, derivative, Taylor shift,
-Descartes count and Sturm count below is exact integer arithmetic in
-disguise.  The certificates turn "p > 0 on [a, infinity)" into a
-finite, replayable piece of evidence.
+A polynomial's coefficients are `fractions.Fraction` values stored in
+ascending order (constant term first), and every value this module
+returns is exact.  The certificates turn "p > 0 on [a, infinity)" into
+a finite, replayable piece of evidence.
+
+Every question a certificate asks is a sign question: the signs of the
+shifted coefficients, the sign of p at a point, and the sign variations
+of a Sturm chain.  Scaling by a positive constant keeps all of them, so
+the evaluation, Taylor shift and Sturm machinery run on integer
+coefficient vectors: denominators are cleared once, by their positive
+lcm; each Sturm chain member is divided by its positive content; a
+pseudo-remainder scales by |lc|, never by a possibly negative lc; and a
+point n/d with d > 0 is evaluated homogeneously, which scales the value
+by d^deg.  Only the rational results are rebuilt as `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -29,13 +39,99 @@ VERDICT_NOT_CERTIFIED = "not-certified"
 
 
 def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+    if type(v) is Fraction or isinstance(v, Fraction):
         return v
+    if isinstance(v, bool):
+        raise TypeError("bool is not an exact rational")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"expected exact rational, got {type(v).__name__}")
+
+
+def _cleared(coeffs: tuple) -> tuple[list[int], int]:
+    """(L*c for each coefficient c, L) for L the lcm of the denominators."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
+
+
+def _homogeneous(cs: list[int], n: int, d: int) -> int:
+    """sum of c_i n^i d^(deg-i), which is d^deg times the value at n/d."""
+    acc = cs[-1]
+    dk = 1
+    for c in reversed(cs[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return acc
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """A nonzero integer vector divided by its (positive) content."""
+    g = math.gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _int_derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs) if i > 0]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by a nonzero b.
+
+    Pseudo-division by b with its leading coefficient made positive, so
+    each step scales by |lc(b)|: scaling by a negative lc(b) would flip
+    the sign of the remainder wherever an odd number of steps ran.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        k = len(r) - db
+        r = [lead * c for c in r]
+        for i in range(db):
+            r[k + i] -= top * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _squarefree(cs: list[int]) -> list[int]:
+    """Primitive square-free part of a nonconstant primitive vector, a
+    multiple of cs / gcd(cs, cs').  Its sign does not matter: negating
+    a Sturm chain's first member negates every member and keeps every
+    sign variation."""
+    a, b = cs, _primitive(_int_derivative(cs))
+    while b:  # primitive PRS: a and b keep the gcd up to a constant
+        r = _prem(a, b)
+        a, b = b, _primitive(r) if r else r
+    if len(a) == 1:
+        return cs
+    # Gauss's lemma: a primitive divisor over Q divides over Z, so every
+    # step of the long division below is an exact integer division
+    rem = list(cs)
+    db = len(a) - 1
+    quot = [0] * (len(cs) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + db] // a[-1]
+        quot[k] = q
+        for i, c in enumerate(a):
+            rem[k + i] -= q * c
+    return _primitive(quot)
+
+
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    """Sturm chain of a square-free q of degree >= 1, each member a
+    positive multiple of the classical q, q', -rem(...) member."""
+    chain = [q, _primitive(_int_derivative(q))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in _primitive(r)])
+    return chain
 
 
 def _poly(v) -> "RationalPolynomial":
@@ -112,12 +208,13 @@ class RationalPolynomial:
     # -- exact operations --------------------------------------------
 
     def eval_at(self, x) -> Fraction:
-        """Horner evaluation at an exact rational point."""
+        """Exact value at a rational point."""
         xq = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * xq + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        ints, lcm = _cleared(self.coeffs)
+        d = xq.denominator
+        return Fraction(_homogeneous(ints, xq.numerator, d), lcm * d ** self.degree)
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(
@@ -127,23 +224,26 @@ class RationalPolynomial:
     def taylor_shift(self, a) -> "RationalPolynomial":
         """Exact coefficients of x -> p(x + a), ascending.
 
-        Computed by repeated synthetic division by (x - a); the k-th
-        remainder is p^(k)(a)/k!.
+        With a = n/d and L the lcm of the denominators, R(y) =
+        d^deg L p(y/d) has integer coefficients; integer synthetic
+        division shifts it to R(y + n), whose k-th coefficient times
+        d^k / (d^deg L) is the k-th coefficient of p(x + a).
         """
         aq = _frac(a)
         if self.is_zero:
             return RationalPolynomial()
-        work = list(reversed(self.coeffs))
-        out = []
-        for _ in range(len(work)):
-            acc = work[0]
-            divided = [acc]
-            for c in work[1:]:
-                acc = acc * aq + c
-                divided.append(acc)
-            out.append(divided[-1])
-            work = divided[:-1]
-        return RationalPolynomial(out)
+        ints, lcm = _cleared(self.coeffs)
+        n, d = aq.numerator, aq.denominator
+        deg = self.degree
+        powers = [d ** k for k in range(deg + 1)]
+        r = [c * powers[deg - i] for i, c in enumerate(ints)]
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                r[j] += n * r[j + 1]
+        den = powers[deg] * lcm
+        return RationalPolynomial(
+            Fraction(c * powers[k], den) for k, c in enumerate(r)
+        )
 
     def descartes_sign_changes(self) -> int:
         """Sign changes of the coefficient sequence, zeros skipped.
@@ -160,63 +260,8 @@ class RationalPolynomial:
         """1 + max |c_i / c_deg|: every real root lies in [-B, B]."""
         if self.is_zero:
             raise ValueError("root bound of the zero polynomial")
-        lead = abs(self.leading_coefficient)
-        rest = [abs(c) / lead for c in self.coeffs[:-1]]
-        return 1 + (max(rest) if rest else Fraction(0))
-
-    # -- Sturm machinery ---------------------------------------------
-
-    def _divmod(self, den: "RationalPolynomial"):
-        if den.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = den.coeffs
-        quot = [Fraction(0)] * max(0, len(rem) - len(dn) + 1)
-        while len(rem) >= len(dn):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(dn):
-                break
-            shift = len(rem) - len(dn)
-            factor = rem[-1] / dn[-1]
-            quot[shift] = factor
-            for i, c in enumerate(dn):
-                rem[shift + i] -= factor * c
-        return RationalPolynomial(quot), RationalPolynomial(rem)
-
-    def _gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a._divmod(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        lead = a.leading_coefficient
-        return RationalPolynomial(c / lead for c in a.coeffs)
-
-    def squarefree_part(self) -> "RationalPolynomial":
-        if self.is_zero:
-            raise ValueError("square-free part of the zero polynomial")
-        if self.degree == 0:
-            return RationalPolynomial(self.coeffs)
-        g = self._gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        q, _ = self._divmod(g)
-        return q
-
-    def sturm_sequence(self) -> list["RationalPolynomial"]:
-        """Canonical Sturm chain of the square-free part."""
-        q = self.squarefree_part()
-        seq = [q]
-        if q.degree >= 1:
-            seq.append(q.derivative())
-            while seq[-1].degree >= 1:
-                _, r = seq[-2]._divmod(seq[-1])
-                if r.is_zero:
-                    break
-                seq.append(-r)
-        return seq
+        ints, _ = _cleared(self.coeffs)
+        return 1 + Fraction(max(map(abs, ints[:-1]), default=0), abs(ints[-1]))
 
     def sturm_root_count(self, a, b) -> int:
         """Exact number of distinct real roots in the open interval (a, b).
@@ -230,40 +275,41 @@ class RationalPolynomial:
             raise ValueError(f"empty interval ({aq}, {bq})")
         if self.is_zero:
             raise ValueError("root count of the zero polynomial")
-        sqf = self.squarefree_part()
-        if sqf.degree <= 0:
+        if self.degree <= 0:
             return 0
-        seq = sqf.sturm_sequence()
+        sqf = _squarefree(_primitive(_cleared(self.coeffs)[0]))
+        chain = _sturm_chain(sqf)
+
+        def is_root(t: Fraction) -> bool:
+            return _homogeneous(sqf, t.numerator, t.denominator) == 0
 
         def variations(t: Fraction) -> int:
-            signs = []
-            for s in seq:
-                v = s.eval_at(t)
-                if v != 0:
-                    signs.append(1 if v > 0 else -1)
-            return sum(1 for s, t2 in zip(signs, signs[1:]) if s != t2)
+            n, d = t.numerator, t.denominator
+            values = (_homogeneous(s, n, d) for s in chain)
+            signs = [v > 0 for v in values if v]
+            return sum(s != t2 for s, t2 in zip(signs, signs[1:]))
 
         lo = aq
-        if sqf.eval_at(lo) == 0:
+        if is_root(lo):
             k = 8
             while True:
                 cand = aq + Fraction(1, 2**k)
                 if (
                     cand < bq
-                    and sqf.eval_at(cand) != 0
+                    and not is_root(cand)
                     and variations(aq) - variations(cand) == 0
                 ):
                     lo = cand
                     break
                 k += 1
         hi = bq
-        if sqf.eval_at(hi) == 0:
+        if is_root(hi):
             k = 8
             while True:
                 cand = bq - Fraction(1, 2**k)
                 if (
                     cand > lo
-                    and sqf.eval_at(cand) != 0
+                    and not is_root(cand)
                     and variations(cand) - variations(bq) == 1
                 ):
                     hi = cand

@@ -146,12 +146,17 @@ def _interval_poly(pair) -> IntervalPolynomial:
     ))
 
 
+# built once: their coefficients are constants
+_INTERVAL_POLYS = {name: _interval_poly(pair) for name, pair in LOG_PI_POLYS.items()}
+_MIDDLE_INTERVAL_POLY = _interval_poly(_MIDDLE)
+
+
 def chain_interval_poly(which: str) -> IntervalPolynomial:
     """Interval polynomial for a polynomial chain member (h2 and its
     derivatives) or "p6"."""
-    if which not in LOG_PI_POLYS:
+    if which not in _INTERVAL_POLYS:
         raise DomainError(f"no interval polynomial named {which!r}")
-    return _interval_poly(LOG_PI_POLYS[which])
+    return _INTERVAL_POLYS[which]
 
 
 # --- the two continuous targets ---
@@ -160,7 +165,13 @@ def chain_interval_poly(which: str) -> IntervalPolynomial:
 def _log_poly_quotient(xq: Fraction, x1: Enclosure) -> Enclosure:
     """ln(x^2+1) - ln(x+1), both arguments exact; x1 is _enc(xq + 1),
     which the callers also hand to the special functions."""
-    return _enc(xq * xq + 1).log() - x1.log()
+    try:
+        square = _enc(xq * xq + 1)
+    except OverflowError:
+        # x^2 + 1 is beyond binary64 though its logarithm is not:
+        # ln(x^2 + 1) = 2 ln x + ln(1 + 1/x^2)
+        return _enc(xq).log() * 2 + _enc(1 + 1 / (xq * xq)).log() - x1.log()
+    return square.log() - x1.log()
 
 
 def gamma_log_ratio(x) -> Enclosure:
@@ -407,7 +418,7 @@ def chain_rate_bound_with_log(x) -> Enclosure:
         [MIDDLE(x) + 4 p5(x) ln(x+1)] / (x+1)^2
     """
     xq = _require_at_least_one(x, "chain_rate_bound_with_log")
-    middle = _interval_poly(_MIDDLE).eval(_enc(xq))
+    middle = _MIDDLE_INTERVAL_POLY.eval(_enc(xq))
     logpart = _enc(4 * _P5.eval_at(xq)) * _enc(xq + 1).log()
     return (middle + logpart) / _enc((xq + 1) ** 2)
 

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from monocert import certify, cli
@@ -68,6 +69,22 @@ def test_eval_domain_and_overflow_errors(capsys):
     for bad in ("nan", "inf"):
         assert main(["eval", "F", bad]) == 2, bad
         assert "binary64" not in capsys.readouterr().err, bad
+
+
+@pytest.mark.parametrize("target, x", [("F", "1e300"), ("G", "1e300"), ("G", "1e160")])
+def test_eval_huge_argument_has_finite_enclosure(capsys, target, x):
+    # x^2 + 1 is beyond binary64 here, but the value is not
+    assert main(["eval", target, x, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(x))
+        ln_gamma = mpmath.loggamma(t + 1)
+        ln_quotient = mpmath.log(t * t + 1) - mpmath.log(t + 1)
+        if target == "F":
+            value = ln_gamma / ln_quotient
+        else:
+            value = mpmath.exp((t * mpmath.log(mpmath.pi) - ln_gamma) / ln_quotient)
+        assert mpmath.mpf(obj["lo"]) <= value <= mpmath.mpf(obj["hi"])
 
 
 def test_eval_unknown_target_is_usage_error():

@@ -46,6 +46,27 @@ def test_constructor_rejects_bad_endpoints():
         Enclosure(0.0, float("inf"))
 
 
+@pytest.mark.parametrize("endpoint, error", [
+    ("1", TypeError),
+    (True, TypeError),
+    (Fraction(1, 3), DomainError),
+    (2**53 + 1, DomainError),
+])
+def test_constructor_rejects_non_numbers_and_rounded_endpoints(endpoint, error):
+    # float() would parse the str, turn the bool into 1.0, and round the
+    # others to an endpoint that misses the value
+    with pytest.raises(error):
+        Enclosure(endpoint, 2.0**60)
+    with pytest.raises(error):
+        Enclosure(-(2.0**60), endpoint)
+
+
+def test_constructor_accepts_exact_non_float_endpoints():
+    e = Enclosure(2**53, Fraction(2**60 + 2**8))
+    assert (e.lo, e.hi) == (2.0**53, 2.0**60 + 2.0**8)
+    assert type(e.lo) is float and type(e.hi) is float
+
+
 def test_point_and_from_rational():
     p = Enclosure.point(1.5)
     assert p.lo == p.hi == 1.5

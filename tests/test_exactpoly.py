@@ -1,13 +1,20 @@
 """Exact polynomial machinery: shifts, sign rules, Sturm, certificates.
 
-Everything here is rational arithmetic, so the oracles are exact too:
-root sets built from known factors, evaluation identities, and the
-Descartes/Sturm agreement on constructed polynomials.
+Every result here is exact (the Sturm chain and the Taylor shift run on
+integer vectors, scaled by positive constants only), so the oracles are
+exact too: root sets built from known factors, evaluation identities, a
+plain Fraction Horner evaluation, sympy's root counts, the
+Descartes/Sturm agreement on constructed polynomials, and a hash of
+certificates recorded from the earlier all-Fraction implementation.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from monocert.exactpoly import (
@@ -38,6 +45,21 @@ def test_trailing_zeros_stripped_and_degree():
 def test_eval_at_is_exact():
     p = RationalPolynomial([Fraction(1, 3), 0, 1])  # x^2 + 1/3
     assert p.eval_at(Fraction(1, 2)) == Fraction(7, 12)
+
+
+@given(small_polys, rationals)
+def test_eval_at_matches_fraction_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    assert p.eval_at(x) == acc
+
+
+def test_bool_is_not_an_exact_rational():
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, True])
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, 1]).eval_at(False)
 
 
 @given(small_polys, rationals, rationals)
@@ -155,11 +177,112 @@ def test_sturm_open_interval_excludes_endpoint_roots():
     assert p.sturm_root_count(1, 3) == 1
     assert p.sturm_root_count(0, 2) == 1
     assert p.sturm_root_count(0, 3) == 2
+    # a second root closer to the endpoint than the first nudge, 2**-8
+    eps = Fraction(1, 1000)
+    near_lo = RationalPolynomial([0, 1]) * RationalPolynomial([-eps, 1])
+    assert (near_lo * RationalPolynomial([-1, 1])).sturm_root_count(0, 1) == 1
+    near_hi = RationalPolynomial([-1, 1]) * RationalPolynomial([eps - 1, 1])
+    assert (-near_hi).sturm_root_count(0, 1) == 1
 
 
 def test_sturm_counts_distinct_roots_once():
     p = RationalPolynomial([1, -2, 1])  # (x-1)^2
     assert p.sturm_root_count(0, 2) == 1
+
+
+@st.composite
+def sturm_cases(draw):
+    """(p, a, b): p has rational roots, some repeated, a leading
+    coefficient of either sign and sometimes a further factor with
+    irrational or no real roots; a and b are often roots of p."""
+    roots = draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5), max_size=4
+    ))
+    lead = draw(rationals.filter(bool))
+    p = RationalPolynomial([lead])
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * RationalPolynomial([-r, 1])
+    extra = draw(small_polys)
+    if not extra.is_zero:
+        p = p * extra
+    if draw(st.booleans()):  # p(x^2): remainders drop two degrees
+        p = RationalPolynomial([c for a in p.coeffs for c in (a, 0)])
+    point = st.fractions(min_value=-8, max_value=8, max_denominator=9)
+    if roots:
+        point = st.one_of(st.sampled_from(roots), point)
+    a = draw(point)
+    b = draw(point.filter(lambda t: t != a))
+    return (p, a, b) if a < b else (p, b, a)
+
+
+def _sympy_open_count(p, a, b) -> int:
+    """sympy's count of distinct real roots in (a, b)."""
+    x = sympy.Symbol("x")
+    q = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+        x,
+    )
+    if q.is_ground:
+        return 0
+    closed = q.count_roots(sympy.Rational(a.numerator, a.denominator),
+                           sympy.Rational(b.numerator, b.denominator))
+    return closed - (p.eval_at(a) == 0) - (p.eval_at(b) == 0)
+
+
+@given(sturm_cases())
+@settings(max_examples=200, deadline=None)
+def test_sturm_count_matches_sympy(case):
+    p, a, b = case
+    assert p.sturm_root_count(a, b) == _sympy_open_count(p, a, b)
+
+
+def test_sturm_counts_with_degree_gaps_and_negative_leads():
+    # In the chains of even and odd polynomials each remainder drops two
+    # degrees, so some pseudo-divisions run an odd number of steps; with
+    # a negative divisor lead, scaling by lc instead of |lc| would flip
+    # that chain member's sign.
+    even = RationalPolynomial([4, 0, -5, 0, 1])  # (x^2-1)(x^2-4)
+    odd = even * RationalPolynomial([0, 1])
+    for p, roots in ((even, 4), (odd, 5)):
+        for sign in (1, -1):
+            assert (sign * p).sturm_root_count(-3, 3) == roots
+            assert (sign * p).sturm_root_count(0, 3) == 2
+
+
+def _certificate_corpus(count=300, seed=20261018):
+    """Seeded rational polynomials: a leading constant of either sign
+    times one to four factors, each a positive-definite quadratic
+    (x - c)^2 + w or a linear factor, sometimes squared, whose root may
+    lie at 1 or beyond."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sign = -1 if rng.random() < 0.15 else 1
+        p = RationalPolynomial([Fraction(sign * rng.randint(1, 9), rng.randint(1, 7))])
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.55:
+                c = Fraction(rng.randint(-20, 60), rng.randint(1, 9))
+                w = Fraction(rng.randint(1, 30), rng.randint(1, 40))
+                f = RationalPolynomial([c * c + w, -2 * c, 1])
+            else:
+                r = Fraction(rng.randint(-60, 14), rng.randint(1, 12))
+                f = RationalPolynomial([-r, 1])
+                if rng.random() < 0.3:
+                    f = f * f
+            p = p * f
+        yield p
+
+
+# SHA-256 of the corpus certificates, recorded with the earlier
+# implementation that ran the shift and the Sturm chain in Fraction
+# arithmetic (148 Sturm, 92 shifted-coefficient, 60 not certified)
+_CORPUS_SHA256 = "487acf222eaaaf304e32316679234047d8f1ae6308f471b6fbc70aec857188b8"
+
+
+def test_certificates_match_recorded_hash():
+    certs = [certify_positive_on_ray(p, 1).to_json_obj() for p in _certificate_corpus()]
+    blob = json.dumps(certs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _CORPUS_SHA256
 
 
 def test_sturm_rejects_degenerate_input():
