@@ -174,7 +174,6 @@ def _exact_value_step(step_id: str, description: str, value: Fraction,
 _GRID_FUNCTIONS: dict = {
     "gamma_log_ratio": gamma_log_ratio,
     "log_ball_volume_root": log_ball_volume_root,
-    "fg_ratio": fg_ratio,
 }
 
 _SNAP_POINTS = (0.0, 1.0)
@@ -213,13 +212,6 @@ def _pair_separated(u: Enclosure, v: Enclosure, direction: str) -> bool:
     return v.hi < u.lo
 
 
-def _pair_refuted(u: Enclosure, v: Enclosure, direction: str) -> bool:
-    # the opposite strict separation: the claim is provably false here
-    if direction == "increasing":
-        return v.hi < u.lo
-    return u.hi < v.lo
-
-
 def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> GridCertificate:
     """Certify strict monotonicity of a registered function on the
     grid a, a+step, ..., via enclosure separation at every consecutive
@@ -247,10 +239,11 @@ def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> G
         if _pair_separated(u, v, direction):
             verified += 1
             continue
-        refuted = _pair_refuted(u, v, direction)
+        # separated the other way round: the claim is provably false here
+        refuted = _pair_separated(v, u, direction)
         if not refuted:
             w = fn(0.5 * (grid[i] + grid[i + 1]))
-            refuted = _pair_refuted(u, w, direction) or _pair_refuted(w, v, direction)
+            refuted = _pair_separated(w, u, direction) or _pair_separated(v, w, direction)
         return GridCertificate(
             function_id, direction, grid, verified,
             FAIL if refuted else INCONCLUSIVE, offending_pair=(grid[i], grid[i + 1]),

@@ -24,8 +24,6 @@ __all__ = [
     "PI",
     "LN_PI",
     "EULER_GAMMA",
-    "PI_SQ_OVER_6",
-    "ZETA_3",
 ]
 
 _INF = math.inf
@@ -109,10 +107,6 @@ class Enclosure:
         if isinstance(v, Fraction):
             return Fraction(self.lo) <= v <= Fraction(self.hi)
         return self.lo <= v <= self.hi
-
-    def strictly_less(self, other: "Enclosure") -> bool:
-        """True iff every value here is below every value of other."""
-        return self.hi < other.lo
 
     def __repr__(self) -> str:
         return f"Enclosure({self.lo!r}, {self.hi!r})"
@@ -296,17 +290,11 @@ _LN_PI = _trusted("ln_pi", "1.1447298858494001741434273513530587116472948129153"
 _EULER_GAMMA = _trusted(
     "euler_gamma", "0.57721566490153286060651209008240243104215933593992"
 )
-_PI_SQ_OVER_6 = _trusted(
-    "pi_sq_over_6", "1.6449340668482264364724151666460251892189499012068"
-)
-_ZETA_3 = _trusted("zeta_3", "1.2020569031595942853997381615114499907649862923405")
 
 CONSTANTS: dict[str, TrustedConstant] = {
-    c.name: c for c in (_PI, _LN_PI, _EULER_GAMMA, _PI_SQ_OVER_6, _ZETA_3)
+    c.name: c for c in (_PI, _LN_PI, _EULER_GAMMA)
 }
 
 PI = _PI.value
 LN_PI = _LN_PI.value
 EULER_GAMMA = _EULER_GAMMA.value
-PI_SQ_OVER_6 = _PI_SQ_OVER_6.value
-ZETA_3 = _ZETA_3.value

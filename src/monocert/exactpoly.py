@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 METHOD_SHIFTED_COEFFS = "all-shifted-coefficients-nonnegative"
-METHOD_DESCARTES = "descartes-one-root-localized"
 METHOD_STURM = "sturm-zero-roots"
 
 VERDICT_POSITIVE = "positive"
@@ -44,8 +43,6 @@ def _frac(v) -> Fraction:
     if isinstance(v, bool):
         raise TypeError("bool is not an exact rational")
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"expected exact rational, got {type(v).__name__}")
 
@@ -163,12 +160,6 @@ class RationalPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
@@ -337,7 +328,6 @@ class PositivityCertificate:
     method: Optional[str]
     sign_changes: Optional[int]
     endpoint_values: tuple
-    localization_point: Optional[Fraction]
 
     def to_json_obj(self) -> dict:
         return {
@@ -350,34 +340,33 @@ class PositivityCertificate:
                 [f"{p.numerator}/{p.denominator}", f"{v.numerator}/{v.denominator}"]
                 for p, v in self.endpoint_values
             ],
-            "localization_point": (
-                None
-                if self.localization_point is None
-                else f"{self.localization_point.numerator}/{self.localization_point.denominator}"
-            ),
+            # kept in the replay format; no stage localizes a root
+            "localization_point": None,
         }
 
 
-def certify_positive_on_ray(
-    p: RationalPolynomial, a, localization: Optional[Fraction] = None
-) -> PositivityCertificate:
-    """Try to certify p(x) > 0 for all x >= a, in three exact stages.
+def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
+    """Try to certify p(x) > 0 for all x >= a, in two exact stages.
 
     1. Shifted-coefficient test: every coefficient of p(x + a)
        nonnegative with positive constant term.
-    2. Descartes localization: exactly one coefficient sign change (so
-       exactly one positive root), with that root pinned below a by
-       p(c) < 0 <= c < a and p(a) > 0, positive leading coefficient.
-    3. Sturm: zero distinct roots in (a, B] for the Cauchy bound B,
+    2. Sturm: zero distinct roots in (a, B] for the Cauchy bound B,
        together with p(a) > 0.
 
     The first stage that succeeds names the certificate's method.
+
+    A Descartes stage (one coefficient sign change, so one positive
+    root, pinned below a) would add nothing: if p has exactly one sign
+    change, a positive leading coefficient, a > 0 and p(a) > 0, then
+    every coefficient of p(x + a) is nonnegative.  With m the index
+    where the coefficient signs turn positive, p(x)/x^m increases on
+    (0, infinity), so p'(a) > 0 as well; p' has at most one sign change
+    and a positive lead, so by induction every derivative is positive
+    at a, and those derivatives over k! are the shifted coefficients.
     """
     aq = _frac(a)
     if p.is_zero:
-        return PositivityCertificate(
-            p, aq, VERDICT_NOT_CERTIFIED, None, None, (), None
-        )
+        return PositivityCertificate(p, aq, VERDICT_NOT_CERTIFIED, None, None, ())
     value_at_a = p.eval_at(aq)
     changes = p.descartes_sign_changes()
     endpoints = [(aq, value_at_a)]
@@ -385,33 +374,20 @@ def certify_positive_on_ray(
     shifted = p.taylor_shift(aq)
     if value_at_a > 0 and all(c >= 0 for c in shifted.coeffs):
         return PositivityCertificate(
-            p, aq, VERDICT_POSITIVE, METHOD_SHIFTED_COEFFS, changes,
-            tuple(endpoints), None,
+            p, aq, VERDICT_POSITIVE, METHOD_SHIFTED_COEFFS, changes, tuple(endpoints)
         )
 
-    c = Fraction(0) if localization is None else _frac(localization)
-    if 0 <= c < aq:
-        value_at_c = p.eval_at(c)
-        endpoints.append((c, value_at_c))
-        if (
-            changes == 1
-            and value_at_a > 0
-            and value_at_c < 0
-            and p.leading_coefficient > 0
-        ):
-            return PositivityCertificate(
-                p, aq, VERDICT_POSITIVE, METHOD_DESCARTES, changes,
-                tuple(endpoints), c,
-            )
+    if aq > 0:
+        # the replay format records p(0) whenever the first stage fails
+        endpoints.append((Fraction(0), p.eval_at(Fraction(0))))
 
     if value_at_a > 0:
         bound = p.cauchy_root_bound()
         if bound <= aq or p.sturm_root_count(aq, max(bound, aq + 1)) == 0:
             return PositivityCertificate(
-                p, aq, VERDICT_POSITIVE, METHOD_STURM, changes,
-                tuple(endpoints), None,
+                p, aq, VERDICT_POSITIVE, METHOD_STURM, changes, tuple(endpoints)
             )
 
     return PositivityCertificate(
-        p, aq, VERDICT_NOT_CERTIFIED, None, changes, tuple(endpoints), None
+        p, aq, VERDICT_NOT_CERTIFIED, None, changes, tuple(endpoints)
     )

@@ -10,9 +10,11 @@ error is at most the first omitted term; that term, evaluated in
 interval arithmetic, is added symmetrically.
 
 The elementary two-sided bounds (`digamma_bounds`, `polygamma_bounds`,
-`log1p_bounds`) are independent of the series route on purpose: the
-test suite checks the rigorous enclosures against them, and the proof
-replay substitutes them exactly where the argument does.
+`log1p_bounds`) are independent of the series route on purpose: they
+are test oracles, against which the suite checks the rigorous
+enclosures.  No replay step calls them; the bounds the replay
+substitutes are held as polynomials in `targets`, and ROADMAP item 2
+will make these functions the source of those substituted bounds.
 """
 
 from __future__ import annotations

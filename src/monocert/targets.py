@@ -323,6 +323,18 @@ def fg_ratio(x) -> Enclosure:
     return num / _enc(_QUAD_DEN.eval_at(xq))
 
 
+def _p4_psi1(xq: Fraction, x1: Enclosure) -> Enclosure:
+    """p4(x) psi'(x+1), x exact; x1 is _enc(xq + 1)."""
+    p4 = _P4.eval_at(xq)
+    try:
+        p4_enc = _enc(p4)
+    except OverflowError:
+        # p4 ~ x^5 is beyond binary64 though p4 psi'(x+1) ~ x^4 is not:
+        # p4 = (x+1)(x^2+1)Q, so divide out x+1 exactly
+        return _enc(p4 / (xq + 1)) * (x1 * polygamma(1, x1))
+    return p4_enc * polygamma(1, x1)
+
+
 def fg_ratio_core(x) -> Enclosure:
     """Numerator core of d/dx fg_ratio:
 
@@ -333,9 +345,7 @@ def fg_ratio_core(x) -> Enclosure:
     """
     xq = _require_at_least_one(x, "fg_ratio_core")
     x1 = _enc(xq + 1)
-    return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * polygamma(0, x1) + _enc(
-        _P4.eval_at(xq)
-    ) * polygamma(1, x1)
+    return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * polygamma(0, x1) + _p4_psi1(xq, x1)
 
 
 def fg_ratio_core_rate(x) -> Enclosure:
@@ -356,18 +366,13 @@ def fg_ratio_core_rate(x) -> Enclosure:
     )
 
 
-def fg_ratio_core_rate_lower_bound(x):
-    """Rational lower bound on fg_ratio_core_rate:
+def fg_ratio_core_rate_lower_bound(x) -> Fraction:
+    """Rational lower bound on fg_ratio_core_rate, exactly:
 
         (13x^6+66x^5+86x^4+8x^3-31x^2-2x+8) / ((x+1)^2 (x+2))
-
-    Returns an exact Fraction for int or Fraction input, an Enclosure
-    for float input.
     """
-    exact_in = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
     xq = _require_at_least_one(x, "fg_ratio_core_rate_lower_bound")
-    value = RATE_NUMERATOR.eval_at(xq) / ((xq + 1) ** 2 * (xq + 2))
-    return value if exact_in else _enc(value)
+    return RATE_NUMERATOR.eval_at(xq) / ((xq + 1) ** 2 * (xq + 2))
 
 
 # --- decreasing-side scaffolding: the auxiliary sign chain ---
@@ -388,7 +393,7 @@ def _chain_h1(xq: Fraction) -> Enclosure:
     x1 = _enc(xq + 1)
     return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * (
         polygamma(0, x1) - LN_PI
-    ) + _enc(_P4.eval_at(xq)) * polygamma(1, x1)
+    ) + _p4_psi1(xq, x1)
 
 
 def ball_root_slope_chain(which: str, x) -> Enclosure:

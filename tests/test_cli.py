@@ -87,6 +87,22 @@ def test_eval_huge_argument_has_finite_enclosure(capsys, target, x):
         assert mpmath.mpf(obj["lo"]) <= value <= mpmath.mpf(obj["hi"])
 
 
+@pytest.mark.parametrize("target", ["q", "h1"])
+def test_eval_core_far_out_has_finite_enclosure(capsys, target):
+    # p4(x) ~ x^5 is beyond binary64 at 1e70, but q and h1 ~ x^4 ln x are not
+    assert main(["eval", target, "1e70", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(1e70)
+        weight = t**4 + 4 * t**3 - 2 * t**2 - 4 * t - 3
+        p4 = t**5 + 3 * t**4 + 2 * t**3 + 2 * t**2 + t - 1
+        psi = mpmath.psi(0, t + 1)
+        if target == "h1":
+            psi -= mpmath.log(mpmath.pi)
+        value = weight * psi + p4 * mpmath.psi(1, t + 1)
+        assert mpmath.mpf(obj["lo"]) <= value <= mpmath.mpf(obj["hi"])
+
+
 def test_eval_unknown_target_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "Z", "1"])
@@ -189,6 +205,9 @@ def test_sequence_range_validation(capsys):
     assert main(["sequence", "3", "3", "unit"]) == 2
     assert main(["sequence", "1", "4", "inv_nlnn"]) == 2
     capsys.readouterr()
+    # below the mode's domain: refused before any row is printed
+    assert main(["sequence", "2", "5", "paper"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sequence_refuses_oversized_range(capsys, monkeypatch):

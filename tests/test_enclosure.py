@@ -21,8 +21,6 @@ from monocert.enclosure import (
     EULER_GAMMA,
     LN_PI,
     PI,
-    PI_SQ_OVER_6,
-    ZETA_3,
 )
 
 finite = st.floats(
@@ -219,8 +217,6 @@ def test_trusted_constants_tight_and_correct():
     assert PI.contains(Fraction("3.14159265358979323846264338327950288"))
     assert LN_PI.contains(Fraction("1.14472988584940017414342735135305871"))
     assert EULER_GAMMA.contains(Fraction("0.57721566490153286060651209008240243"))
-    assert PI_SQ_OVER_6.contains(Fraction("1.64493406684822643647241516664602518"))
-    assert ZETA_3.contains(Fraction("1.20205690315959428539973816151144999"))
 
 
 def test_json_round_trip_is_exact():

@@ -18,10 +18,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from monocert.exactpoly import (
-    METHOD_DESCARTES,
     METHOD_SHIFTED_COEFFS,
     METHOD_STURM,
-    PositivityCertificate,
     RationalPolynomial,
     VERDICT_NOT_CERTIFIED,
     VERDICT_POSITIVE,
@@ -58,6 +56,8 @@ def test_eval_at_matches_fraction_horner(p, x):
 def test_bool_is_not_an_exact_rational():
     with pytest.raises(TypeError):
         RationalPolynomial([1, True])
+    with pytest.raises(TypeError):
+        RationalPolynomial([1, "1/2"])
     with pytest.raises(TypeError):
         RationalPolynomial([1, 1]).eval_at(False)
 
@@ -300,6 +300,12 @@ def test_certificate_shifted_coeffs_method():
     assert cert.method == METHOD_SHIFTED_COEFFS
     assert cert.sign_changes == 1
     assert cert.endpoint_values[0] == (Fraction(1), Fraction(2))
+    # (x-1)^2 + 1 on [1, oo) shifts to x^2 + 1: nonnegative, not positive
+    p = RationalPolynomial([2, -2, 1])
+    assert p.taylor_shift(Fraction(1)).coeffs == (1, 0, 1)
+    cert = certify_positive_on_ray(p, Fraction(1))
+    assert cert.method == METHOD_SHIFTED_COEFFS
+    assert cert.endpoint_values == ((Fraction(1), Fraction(1)),)
 
 
 def test_certificate_sturm_method():
@@ -341,7 +347,7 @@ def test_certificate_never_lies(built, offset):
     p, roots = built
     a = (max(roots) if roots else Fraction(0)) + offset
     cert = certify_positive_on_ray(p, a)
-    if p.leading_coefficient > 0:
+    if p.coeffs[-1] > 0:
         assert cert.verdict == VERDICT_POSITIVE
         for k in range(12):
             assert p.eval_at(a + Fraction(k, 3)) > 0
@@ -359,9 +365,8 @@ def test_certificate_refused_when_root_inside_ray():
 
 def test_one_sign_change_with_positive_start_always_uses_first_method():
     """Single-sign-change polynomials positive at the ray start always
-    certify by shifted coefficients: the localization stage can never
-    be reached through the public entry point (the shift of such a
-    polynomial provably has nonnegative coefficients)."""
+    certify by shifted coefficients (the shift of such a polynomial
+    provably has nonnegative coefficients)."""
     cases = [
         (RationalPolynomial([-1, -1, 3, 1]), Fraction(1)),
         (RationalPolynomial([-1, 0, 2, 8, 3]), Fraction(1)),
@@ -372,27 +377,48 @@ def test_one_sign_change_with_positive_start_always_uses_first_method():
     for p, a in cases:
         assert p.descartes_sign_changes() == 1
         assert p.eval_at(a) > 0
-        cert = certify_positive_on_ray(p, a, localization=Fraction(0))
+        cert = certify_positive_on_ray(p, a)
         assert cert.method == METHOD_SHIFTED_COEFFS
 
 
-def test_descartes_method_certificate_serializes():
-    # the localization method is part of the replay format even though
-    # the staged entry point always resolves such inputs at stage one
-    p = RationalPolynomial([-1, -1, 3, 1])
-    cert = PositivityCertificate(
-        polynomial=p,
-        domain_start=Fraction(1),
-        verdict=VERDICT_POSITIVE,
-        method=METHOD_DESCARTES,
-        sign_changes=1,
-        endpoint_values=((Fraction(1), Fraction(2)), (Fraction(0), Fraction(-1))),
-        localization_point=Fraction(0),
+@st.composite
+def one_sign_change_cases(draw):
+    """(p, a) with p's coefficient signs running - then + (zeros
+    anywhere), a positive lead, a rational a > 0 and p(a) > 0."""
+    low = draw(st.lists(
+        st.fractions(min_value=-50, max_value=0, max_denominator=20),
+        min_size=1, max_size=6,
+    ))
+    low[draw(st.integers(0, len(low) - 1))] = draw(
+        st.fractions(min_value=-50, max_value=Fraction(-1, 20), max_denominator=20)
     )
-    obj = cert.to_json_obj()
-    assert obj["method"] == METHOD_DESCARTES
-    assert obj["localization_point"] == "0/1"
-    assert obj["endpoint_values"][1] == ["0/1", "-1/1"]
+    high = draw(st.lists(
+        st.fractions(min_value=0, max_value=50, max_denominator=20), max_size=5
+    ))
+    lead = draw(st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20))
+    a = draw(st.fractions(min_value=Fraction(1, 20), max_value=10, max_denominator=20))
+    p = RationalPolynomial(low + high + [lead])
+    value = p.eval_at(a)
+    if value <= 0:
+        # raise the lead until p(a) is the drawn margin, often a tiny one
+        margin = draw(st.fractions(
+            min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6
+        ))
+        p = RationalPolynomial(low + high + [lead + (margin - value) / a ** p.degree])
+    return p, a
+
+
+@given(one_sign_change_cases())
+@settings(max_examples=300, deadline=None)
+def test_one_sign_change_lemma(case):
+    """The lemma in certify_positive_on_ray's docstring: one sign
+    change, positive lead, a > 0 and p(a) > 0 make every coefficient of
+    p(x + a) nonnegative, so no Descartes stage is needed."""
+    p, a = case
+    assert p.descartes_sign_changes() == 1
+    assert p.coeffs[-1] > 0 and a > 0 and p.eval_at(a) > 0
+    assert all(c >= 0 for c in p.taylor_shift(a).coeffs)
+    assert certify_positive_on_ray(p, a).method == METHOD_SHIFTED_COEFFS
 
 
 def test_polynomial_json_round_trip():

@@ -195,9 +195,6 @@ def test_rate_lower_bound_is_the_substituted_rate_exactly():
 def test_rate_lower_bound_exact_and_lifted():
     assert fg_ratio_core_rate_lower_bound(Fraction(1)) == Fraction(37, 3)
     assert fg_ratio_core_rate_lower_bound(Fraction(2)) == Fraction(1066, 9)
-    enc = fg_ratio_core_rate_lower_bound(1.0)
-    assert isinstance(enc, Enclosure)
-    assert enc.contains(Fraction(37, 3))
 
 
 def test_rate_dominates_lower_bound_on_samples():
