@@ -22,17 +22,17 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional
 
 from .enclosure import DomainError, Enclosure
 from .exactpoly import certify_positive_on_ray
-from .specfun import IntervalPolynomial, certify_positive_interval_poly
 from . import targets
 from .targets import (
     LEMMA_POLYS,
     LEMMA_VALUE_AT_ONE,
+    LOG_PI_POLYS,
     RATE_NUMERATOR,
-    chain_interval_poly,
     chain_rate_bound_rational,
     chain_rate_bound_with_log,
     fg_ratio,
@@ -212,6 +212,10 @@ def _pair_separated(u: Enclosure, v: Enclosure, direction: str) -> bool:
     return v.hi < u.lo
 
 
+def _strictly_monotone(values, direction: str) -> bool:
+    return all(_pair_separated(u, v, direction) for u, v in pairwise(values))
+
+
 def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> GridCertificate:
     """Certify strict monotonicity of a registered function on the
     grid a, a+step, ..., via enclosure separation at every consecutive
@@ -271,20 +275,14 @@ def _grid_step(step_id: str, cert: GridCertificate, claim: str) -> ProofStep:
 
 # --- lemma 2 ---
 
-def _default_lemma_polys() -> dict:
-    d = dict(LEMMA_POLYS)
-    d["p6"] = chain_interval_poly("p6")
-    return d
-
-
 _P6_EXPECTED_SIGNS = ("-", "+", "+", "+")  # ascending degree
 
 
 def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
     """Replay the positivity lemma: five exact cubic-to-quintic
-    polynomials and one log-pi interval cubic, all positive on [1, oo),
+    polynomials and one log-pi cubic, all positive on [1, oo),
     with every printed endpoint value reproduced."""
-    polys = _default_lemma_polys() if polys is None else {**_default_lemma_polys(), **polys}
+    polys = {**LEMMA_POLYS, "p6": LOG_PI_POLYS["p6"], **(polys or {})}
     anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
     steps = []
 
@@ -321,7 +319,7 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
         "-" if c.strictly_negative else "+" if c.strictly_positive else "?"
         for c in p6.coeffs
     )
-    p6_cert = certify_positive_interval_poly(p6, Fraction(1))
+    p6_cert = p6.certify_positive(Fraction(1))
     p6_ok = signs == _P6_EXPECTED_SIGNS and p6_cert.verdict == "positive"
     steps.append(ProofStep(
         id="lemma2/16-p6-positive",
@@ -445,9 +443,7 @@ def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport
     ))
 
     ratios = [fg_ratio(t) for t in pts]
-    increasing = all(
-        ratios[i].hi < ratios[i + 1].lo for i in range(len(ratios) - 1)
-    )
+    increasing = _strictly_monotone(ratios, "increasing")
     steps.append(ProofStep(
         id="theorem1/05-fg-ratio-increasing",
         description=(
@@ -472,6 +468,18 @@ def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport
 
 # --- theorem 2 ---
 
+# largest dimension a sequence check will run to: every term up to it
+# is held in a list, so a larger n_max is refused before any is built
+_MAX_N_MAX = 10 ** 6
+
+
+def _check_n_max(n_max, minimum: int, who: str) -> None:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < minimum:
+        raise DomainError(f"{who} needs integer n_max >= {minimum}, got {n_max!r}")
+    if n_max > _MAX_N_MAX:
+        raise DomainError(f"{who} refuses n_max = {n_max} > {_MAX_N_MAX}")
+
+
 _CHAIN_SAMPLE_SEED = 727
 _CHAIN_SAMPLE_COUNT = 50
 
@@ -482,15 +490,12 @@ def verify_theorem2(n_max: int = 200, anchors=None,
     pinned at 1 and its polynomial tail certified negative, the bound
     chain is consistent at sampled points, and both the continuous
     target and the dimension sequence decrease."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 4:
-        raise DomainError(f"verify_theorem2 needs integer n_max >= 4, got {n_max!r}")
+    _check_n_max(n_max, 4, "verify_theorem2")
     anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
     grid = _grid_window(grid, _THEOREM2_GRID)
     steps = []
 
-    tail = chain_interval_poly("h2ppp")
-    neg_tail = IntervalPolynomial(tuple(-c for c in tail.coeffs))
-    cert = certify_positive_interval_poly(neg_tail, Fraction(1))
+    cert = (-LOG_PI_POLYS["h2ppp"]).certify_positive(Fraction(1))
     steps.append(ProofStep(
         id="theorem2/01-chain-tail-negative",
         description=(
@@ -553,7 +558,7 @@ def verify_theorem2(n_max: int = 200, anchors=None,
     ))
 
     terms = [log_omega_sequence_term(n) for n in range(3, n_max + 1)]
-    separated = all(terms[i + 1].hi < terms[i].lo for i in range(len(terms) - 1))
+    separated = _strictly_monotone(terms, "decreasing")
     steps.append(ProofStep(
         id="theorem2/09-sequence-decreasing",
         description=(
@@ -577,12 +582,11 @@ _GAP_PROBES = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
 def verify_remark1(n_max: int = 200) -> VerificationReport:
     """Trend checks for the volume-sequence limits: strict decrease over
     the desk range plus far-tail probes.  Trends, not limit proofs."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 10:
-        raise DomainError(f"verify_remark1 needs integer n_max >= 10, got {n_max!r}")
+    _check_n_max(n_max, 10, "verify_remark1")
     steps = []
 
     inv_n = [volume_sequence_value(n, "inv_n") for n in range(1, n_max + 1)]
-    decreasing = all(inv_n[i + 1].hi < inv_n[i].lo for i in range(len(inv_n) - 1))
+    decreasing = _strictly_monotone(inv_n, "decreasing")
     probe = log_volume_sequence_value(_TREND_PROBE_N, "inv_n")
     threshold = (inv_n[0] * 0.01).log()
     probe_ok = probe.hi < threshold.lo
@@ -600,9 +604,7 @@ def verify_remark1(n_max: int = 200) -> VerificationReport:
     ))
 
     inv_nlnn = [volume_sequence_value(n, "inv_nlnn") for n in range(2, n_max + 1)]
-    decreasing2 = all(
-        inv_nlnn[i + 1].hi < inv_nlnn[i].lo for i in range(len(inv_nlnn) - 1)
-    )
+    decreasing2 = _strictly_monotone(inv_nlnn, "decreasing")
     steps.append(ProofStep(
         id="remark1/02-inv-nlnn-decreasing",
         description=f"volume^(1/(n ln n)) strictly decreases for n = 2..{n_max}",
@@ -617,7 +619,7 @@ def verify_remark1(n_max: int = 200) -> VerificationReport:
         volume_sequence_value(n, "inv_nlnn") - limit for n in _GAP_PROBES
     ]
     above = all(g.strictly_positive for g in gaps)
-    shrinking = all(gaps[i + 1].hi < gaps[i].lo for i in range(len(gaps) - 1))
+    shrinking = _strictly_monotone(gaps, "decreasing")
     steps.append(ProofStep(
         id="remark1/03-limit-gap-shrinking",
         description=(
@@ -632,7 +634,7 @@ def verify_remark1(n_max: int = 200) -> VerificationReport:
     ))
 
     trend = [log_ball_volume_root(float(10 ** k)) for k in range(1, 6)]
-    trend_dec = all(trend[i + 1].hi < trend[i].lo for i in range(len(trend) - 1))
+    trend_dec = _strictly_monotone(trend, "decreasing")
     far = log_ball_volume_root(1e6)
     far_small = far.hi < math.log(1e-3)
     steps.append(ProofStep(
@@ -674,8 +676,7 @@ def explore_remark2(grid=None, n_max: int = 100) -> dict:
         raise DomainError("exploration grid must be strictly increasing")
     if grid[0] <= 1.0 + targets.GUARD_RADIUS:
         raise DomainError("exploration grid must stay right of 1")
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 5:
-        raise DomainError(f"explore_remark2 needs integer n_max >= 5, got {n_max!r}")
+    _check_n_max(n_max, 5, "explore_remark2")
 
     xs = [Enclosure.point(x) for x in grid]
     vs = [log_ball_volume_root(x) for x in grid]

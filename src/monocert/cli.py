@@ -114,6 +114,9 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
+_THEOREMS = ("lemma2", "theorem1", "theorem2", "remark1")
+
+
 def _run_verifier(theorem: str, n_max: int, grid: tuple):
     # a None grid entry (flag not given) takes the theorem's default
     if theorem == "lemma2":
@@ -196,12 +199,8 @@ def _cmd_report_all(args) -> int:
         probe.unlink()
     except OSError as exc:
         return _fail_usage(f"destination not writable: {exc}")
-    reports = {
-        "lemma2": certify.verify_lemma2(),
-        "theorem1": certify.verify_theorem1(),
-        "theorem2": certify.verify_theorem2(n_max=args.n_max),
-        "remark1": certify.verify_remark1(n_max=args.n_max),
-    }
+    reports = {name: _run_verifier(name, args.n_max, (None, None, None))
+               for name in _THEOREMS}
     try:
         for name, report in reports.items():
             (out_dir / f"{name}.json").write_text(certify.report_to_json_text(report))
@@ -244,8 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="replay one verification suite")
-    p_verify.add_argument("theorem",
-                          choices=("lemma2", "theorem1", "theorem2", "remark1"))
+    p_verify.add_argument("theorem", choices=_THEOREMS)
     p_verify.add_argument("--n-max", type=int, default=200,
                           help="sequence upper bound (default 200)")
     p_verify.add_argument("--grid-from", type=float, default=None,

@@ -1,4 +1,4 @@
-"""Rigorous enclosures of log-gamma and polygamma, plus interval polynomials.
+"""Rigorous enclosures of log-gamma and polygamma, and their test oracles.
 
 Strategy for every special function here: push the argument up to at
 least 8 with the exact recurrences, then sum the Bernoulli asymptotic
@@ -7,7 +7,9 @@ gives the coefficients of log Gamma and of every polygamma order.  For
 real positive arguments those series envelop the true value
 (consecutive Bernoulli terms alternate in sign), so the truncation
 error is at most the first omitted term; that term, evaluated in
-interval arithmetic, is added symmetrically.
+interval arithmetic, is added symmetrically.  `ln_gamma_over_x`
+keeps only the first omitted term's envelope and divides by x, for
+arguments at which log Gamma itself overflows.
 
 The elementary two-sided bounds (`digamma_bounds`, `polygamma_bounds`,
 `log1p_bounds`) are independent of the series route on purpose: they
@@ -24,17 +26,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .enclosure import DomainError, Enclosure, LN_PI, _lift
-from .exactpoly import PositivityCertificate, RationalPolynomial, certify_positive_on_ray
 
 __all__ = [
     "ln_gamma",
+    "ln_gamma_over_x",
     "polygamma",
     "digamma_bounds",
     "polygamma_bounds",
     "log1p_bounds",
     "BoundPair",
-    "IntervalPolynomial",
-    "certify_positive_interval_poly",
 ]
 
 _SHIFT_THRESHOLD = 8.0
@@ -118,6 +118,18 @@ def ln_gamma(x) -> Enclosure:
     return res
 
 
+def ln_gamma_over_x(x) -> Enclosure:
+    """Enclosure of log Gamma(x) / x for x > 0, finite where log Gamma(x)
+    overflows: the Bernoulli envelope log Gamma(x) = (x - 1/2) log x - x
+    + log(2 pi)/2 + theta/(12x), 0 < theta < 1, divided by x."""
+    xe = _lift(x)
+    if xe.lo <= 0.0:
+        raise DomainError(f"ln_gamma_over_x needs a positive argument, got {xe!r}")
+    inv = _ONE / xe
+    remainder = Enclosure(0.0, (inv / 12).hi)  # theta/(12x)
+    return (_ONE - inv * _HALF) * xe.log() - _ONE + (_HALF_LN_TWO_PI + remainder) * inv
+
+
 def polygamma(k: int, x) -> Enclosure:
     """Enclosure of psi^(k)(x) for k in {0, 1, 2} and x > 0.
 
@@ -188,46 +200,3 @@ def log1p_bounds(t) -> BoundPair:
     lower = (te * 2) / (te + 2)
     upper = te * (te + 2) / ((te + 1) * 2)
     return BoundPair(lower.lo, upper.hi)
-
-
-class IntervalPolynomial:
-    """Dense polynomial whose coefficients are Enclosures, ascending."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(c if isinstance(c, Enclosure) else _lift(c) for c in coeffs)
-        self.coeffs = cs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, x) -> Enclosure:
-        xe = _lift(x)
-        acc = Enclosure(0.0, 0.0)
-        for c in reversed(self.coeffs):
-            acc = acc * xe + c
-        return acc
-
-    def derivative(self) -> "IntervalPolynomial":
-        return IntervalPolynomial(
-            tuple(c * i for i, c in enumerate(self.coeffs) if i > 0)
-        )
-
-    def __repr__(self) -> str:
-        return f"IntervalPolynomial({list(self.coeffs)!r})"
-
-
-def certify_positive_interval_poly(p: IntervalPolynomial, a) -> PositivityCertificate:
-    """Certify p > 0 on [a, infinity) for a >= 0.
-
-    Delegates to the exact machinery through the rational lower-bound
-    polynomial built from the coefficient lower endpoints; for x >= 0
-    that polynomial never exceeds p, so its certificate transfers.
-    """
-    aq = a if isinstance(a, Fraction) else Fraction(a)
-    if aq < 0:
-        raise DomainError("interval-polynomial certification requires a >= 0")
-    p_lo = RationalPolynomial(Fraction(c.lo) for c in p.coeffs)
-    return certify_positive_on_ray(p_lo, aq)

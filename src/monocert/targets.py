@@ -5,7 +5,7 @@ increasing from its exact value at 0, and `ball_volume_root`, shown
 decreasing past 1.  The discrete targets are the unit-ball volume
 sequence and its fractional-power companions.  Everything else in this
 module is scaffolding those proofs walk through: five exact rational
-polynomials certified positive, one interval polynomial with log-pi
+polynomials certified positive, polynomials with a + b*ln(pi)
 coefficients, a quotient-derivative core whose positivity drives the
 increasing half, and a six-member auxiliary sign chain that drives the
 decreasing half.
@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .enclosure import DomainError, Enclosure, EULER_GAMMA, LN_PI
-from .exactpoly import RationalPolynomial
-from .specfun import IntervalPolynomial, ln_gamma, polygamma
+from .exactpoly import PositivityCertificate, RationalPolynomial, certify_positive_on_ray
+from .specfun import ln_gamma, ln_gamma_over_x, polygamma
 
 __all__ = [
     "GUARD_RADIUS",
@@ -32,6 +32,7 @@ __all__ = [
     "LEMMA_POLYS",
     "LEMMA_VALUE_AT_ONE",
     "RATE_NUMERATOR",
+    "LogPiPolynomial",
     "LOG_PI_POLYS",
     "CHAIN_TOKENS",
     "chain_interval_poly",
@@ -106,57 +107,73 @@ _CORE_PSI_WEIGHT = _CUBIC_NUM.derivative() * _QUAD_DEN - _CUBIC_NUM * _QUAD_DEN.
 # degree-6 numerator of the rational lower bound on the core's rate
 RATE_NUMERATOR = RationalPolynomial((8, -2, -31, 8, 86, 66, 13))
 
-# A polynomial whose coefficients are a + b*ln(pi) is held as the pair
-# (rational part, ln-pi part) of RationalPolynomials.
+
+class LogPiPolynomial:
+    """A polynomial whose coefficients are a + b*ln(pi): the exact
+    rational and ln-pi parts, and the coefficient enclosures (ascending,
+    built once, since the coefficients are constants)."""
+
+    __slots__ = ("rational", "log_pi", "coeffs")
+
+    def __init__(self, rational: RationalPolynomial, log_pi: RationalPolynomial):
+        self.rational = rational
+        self.log_pi = log_pi
+        self.coeffs = tuple(
+            _enc(a) + _enc(b) * LN_PI
+            for a, b in zip_longest(rational.coeffs, log_pi.coeffs, fillvalue=Fraction(0))
+        )
+
+    def derivative(self) -> "LogPiPolynomial":
+        return LogPiPolynomial(self.rational.derivative(), self.log_pi.derivative())
+
+    def __neg__(self) -> "LogPiPolynomial":
+        return LogPiPolynomial(-self.rational, -self.log_pi)
+
+    def eval(self, x) -> Enclosure:
+        acc = Enclosure(0.0, 0.0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def certify_positive(self, a: Fraction) -> PositivityCertificate:
+        """Certify > 0 on [a, infinity) for a >= 0 through the rational
+        polynomial of the coefficient lower endpoints: for x >= 0 that
+        polynomial never exceeds this one, so its certificate transfers."""
+        if a < 0:
+            raise DomainError("log-pi polynomial certification requires a >= 0")
+        lower = RationalPolynomial(Fraction(c.lo) for c in self.coeffs)
+        return certify_positive_on_ray(lower, a)
+
+
 _X = RationalPolynomial((0, 1))
 
 # rational-plus-log bound on the slope chain's second member, before the
 # logarithm inequality is applied: (MIDDLE + 4*p5*ln(x+1)) / (x+1)^2
-_MIDDLE = (
+_MIDDLE = LogPiPolynomial(
     RationalPolynomial((-2, 11, 0, 18, 26, 7)),
     -4 * (_X + 1) * (_X + 1) * _P1,
 )
-# ln(1+x) >= 2x/(2+x) turns that bound into -h2 / ((x+1)^2 (x+2))
-_H2 = (
-    -(_MIDDLE[0] * (_X + 2) + 8 * _X * _P5),
-    -(_MIDDLE[1] * (_X + 2)),
-)
 
-
-def _derivative(pair) -> tuple:
-    return tuple(p.derivative() for p in pair)
-
-
-# the chain's polynomial tail h2, its first three derivatives, and the
+# ln(1+x) >= 2x/(2+x) turns that bound into -h2 / ((x+1)^2 (x+2)); the
+# chain's polynomial tail h2, its first three derivatives, and the
 # lemma's p6 = -h2'''
-LOG_PI_POLYS = {"h2": _H2}
-LOG_PI_POLYS["h2p"] = _derivative(LOG_PI_POLYS["h2"])
-LOG_PI_POLYS["h2pp"] = _derivative(LOG_PI_POLYS["h2p"])
-LOG_PI_POLYS["h2ppp"] = _derivative(LOG_PI_POLYS["h2pp"])
-LOG_PI_POLYS["p6"] = tuple(-p for p in LOG_PI_POLYS["h2ppp"])
+LOG_PI_POLYS = {"h2": LogPiPolynomial(
+    -(_MIDDLE.rational * (_X + 2) + 8 * _X * _P5),
+    -(_MIDDLE.log_pi * (_X + 2)),
+)}
+LOG_PI_POLYS["h2p"] = LOG_PI_POLYS["h2"].derivative()
+LOG_PI_POLYS["h2pp"] = LOG_PI_POLYS["h2p"].derivative()
+LOG_PI_POLYS["h2ppp"] = LOG_PI_POLYS["h2pp"].derivative()
+LOG_PI_POLYS["p6"] = -LOG_PI_POLYS["h2ppp"]
 
 CHAIN_TOKENS = ("h", "h1", "h2", "h2p", "h2pp", "h2ppp")
 
 
-def _interval_poly(pair) -> IntervalPolynomial:
-    rational, log_pi = pair
-    return IntervalPolynomial(tuple(
-        _enc(a) + _enc(b) * LN_PI
-        for a, b in zip_longest(rational.coeffs, log_pi.coeffs, fillvalue=Fraction(0))
-    ))
-
-
-# built once: their coefficients are constants
-_INTERVAL_POLYS = {name: _interval_poly(pair) for name, pair in LOG_PI_POLYS.items()}
-_MIDDLE_INTERVAL_POLY = _interval_poly(_MIDDLE)
-
-
-def chain_interval_poly(which: str) -> IntervalPolynomial:
-    """Interval polynomial for a polynomial chain member (h2 and its
-    derivatives) or "p6"."""
-    if which not in _INTERVAL_POLYS:
-        raise DomainError(f"no interval polynomial named {which!r}")
-    return _INTERVAL_POLYS[which]
+def chain_interval_poly(which: str) -> LogPiPolynomial:
+    """A polynomial chain member (h2 and its derivatives) or "p6"."""
+    if which not in LOG_PI_POLYS:
+        raise DomainError(f"no log-pi polynomial named {which!r}")
+    return LOG_PI_POLYS[which]
 
 
 # --- the two continuous targets ---
@@ -196,7 +213,13 @@ def gamma_log_ratio(x) -> Enclosure:
             "evaluate at the singular point itself for the exact value"
         )
     x1 = _enc(xq + 1)
-    return ln_gamma(x1) / _log_poly_quotient(xq, x1)
+    try:
+        lg = ln_gamma(x1)
+    except DomainError:
+        # for x + 1 > 1 the only DomainError is ln Gamma(x+1) ~ x ln x
+        # overflowing binary64, though F(x) < x does not
+        return x1 * (ln_gamma_over_x(x1) / _log_poly_quotient(xq, x1))
+    return lg / _log_poly_quotient(xq, x1)
 
 
 def log_ball_volume_root(x) -> Enclosure:
@@ -217,8 +240,13 @@ def log_ball_volume_root(x) -> Enclosure:
             "where the quotient is 0/0"
         )
     x1 = _enc(xq + 1)
-    num = LN_PI * _enc(xq) - ln_gamma(x1)
-    return num / _log_poly_quotient(xq, x1)
+    try:
+        lg = ln_gamma(x1)
+    except DomainError:
+        # ln Gamma(x+1) overflows, as in gamma_log_ratio: scale by x + 1
+        num = LN_PI * _enc(xq / (xq + 1)) - ln_gamma_over_x(x1)
+        return x1 * (num / _log_poly_quotient(xq, x1))
+    return (LN_PI * _enc(xq) - lg) / _log_poly_quotient(xq, x1)
 
 
 def ball_volume_root(x) -> Enclosure:
@@ -323,16 +351,16 @@ def fg_ratio(x) -> Enclosure:
     return num / _enc(_QUAD_DEN.eval_at(xq))
 
 
-def _p4_psi1(xq: Fraction, x1: Enclosure) -> Enclosure:
-    """p4(x) psi'(x+1), x exact; x1 is _enc(xq + 1)."""
+def _p4_polygamma(k: int, xq: Fraction, x1: Enclosure) -> Enclosure:
+    """p4(x) psi^(k)(x+1) for k = 1 or 2, x exact; x1 is _enc(xq + 1)."""
     p4 = _P4.eval_at(xq)
     try:
         p4_enc = _enc(p4)
     except OverflowError:
-        # p4 ~ x^5 is beyond binary64 though p4 psi'(x+1) ~ x^4 is not:
-        # p4 = (x+1)(x^2+1)Q, so divide out x+1 exactly
-        return _enc(p4 / (xq + 1)) * (x1 * polygamma(1, x1))
-    return p4_enc * polygamma(1, x1)
+        # p4 ~ x^5 is beyond binary64 though p4 psi^(k)(x+1) ~ x^(5-k) is
+        # not: p4 = (x+1)(x^2+1)Q, so divide out x+1 exactly
+        return _enc(p4 / (xq + 1)) * (x1 * polygamma(k, x1))
+    return p4_enc * polygamma(k, x1)
 
 
 def fg_ratio_core(x) -> Enclosure:
@@ -345,7 +373,7 @@ def fg_ratio_core(x) -> Enclosure:
     """
     xq = _require_at_least_one(x, "fg_ratio_core")
     x1 = _enc(xq + 1)
-    return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * polygamma(0, x1) + _p4_psi1(xq, x1)
+    return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * polygamma(0, x1) + _p4_polygamma(1, xq, x1)
 
 
 def fg_ratio_core_rate(x) -> Enclosure:
@@ -362,7 +390,7 @@ def fg_ratio_core_rate(x) -> Enclosure:
     return (
         _enc(4 * _P1.eval_at(xq)) * polygamma(0, x1)
         + _enc(2 * _P3.eval_at(xq)) * polygamma(1, x1)
-        + _enc(_P4.eval_at(xq)) * polygamma(2, x1)
+        + _p4_polygamma(2, xq, x1)
     )
 
 
@@ -393,7 +421,7 @@ def _chain_h1(xq: Fraction) -> Enclosure:
     x1 = _enc(xq + 1)
     return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * (
         polygamma(0, x1) - LN_PI
-    ) + _p4_psi1(xq, x1)
+    ) + _p4_polygamma(1, xq, x1)
 
 
 def ball_root_slope_chain(which: str, x) -> Enclosure:
@@ -423,7 +451,7 @@ def chain_rate_bound_with_log(x) -> Enclosure:
         [MIDDLE(x) + 4 p5(x) ln(x+1)] / (x+1)^2
     """
     xq = _require_at_least_one(x, "chain_rate_bound_with_log")
-    middle = _MIDDLE_INTERVAL_POLY.eval(_enc(xq))
+    middle = _MIDDLE.eval(_enc(xq))
     logpart = _enc(4 * _P5.eval_at(xq)) * _enc(xq + 1).log()
     return (middle + logpart) / _enc((xq + 1) ** 2)
 

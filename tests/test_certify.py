@@ -30,8 +30,7 @@ from monocert.certify import (
 )
 from monocert.enclosure import DomainError, Enclosure
 from monocert.exactpoly import RationalPolynomial
-from monocert.specfun import IntervalPolynomial
-from monocert.targets import LOG_PI_POLYS, gamma_log_ratio, log_ball_volume_root
+from monocert.targets import LOG_PI_POLYS, LogPiPolynomial, gamma_log_ratio, log_ball_volume_root
 
 
 def _ids(report: VerificationReport):
@@ -158,15 +157,14 @@ def test_constant_term_mutant_breaks_sign_change_count():
 
 def test_logpi_mutant_breaks_coefficient_signs():
     # replacing the log-pi constant by 2 flips the linear coefficient
-    # of the interval cubic negative: sign pattern check goes red
-    rational, log_pi = LOG_PI_POLYS["p6"]
-    assert len(rational.coeffs) == len(log_pi.coeffs) == 4
-    mutant = IntervalPolynomial(
-        tuple(a + 2 * b for a, b in zip(rational.coeffs, log_pi.coeffs))
-    )
-    r = verify_lemma2(polys={"p6": mutant})
-    assert r.overall == FAIL
-    assert "lemma2/16-p6-positive" in _failed_ids(r)
+    # of the log-pi cubic negative: sign pattern check goes red
+    p6 = LOG_PI_POLYS["p6"]
+    r, s = p6.rational, p6.log_pi
+    assert len(r.coeffs) == len(s.coeffs) == 4
+    mutant = LogPiPolynomial(r + 2 * s, RationalPolynomial())
+    report = verify_lemma2(polys={"p6": mutant})
+    assert report.overall == FAIL
+    assert "lemma2/16-p6-positive" in _failed_ids(report)
 
 
 # -- grid certificates ----------------------------------------------

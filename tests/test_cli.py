@@ -11,7 +11,7 @@ import pytest
 
 from monocert import certify, cli
 from monocert.cli import main
-from monocert.enclosure import PI
+from monocert.enclosure import PI, DomainError
 
 
 # -- eval -----------------------------------------------------------
@@ -71,9 +71,14 @@ def test_eval_domain_and_overflow_errors(capsys):
         assert "binary64" not in capsys.readouterr().err, bad
 
 
-@pytest.mark.parametrize("target, x", [("F", "1e300"), ("G", "1e300"), ("G", "1e160")])
+@pytest.mark.parametrize("target, x", [
+    ("F", "1e300"), ("G", "1e300"), ("G", "1e160"),
+    ("F", "1e306"), ("F", "1e307"), ("F", "1.7e308"),
+    ("G", "1e306"), ("G", "1e307"), ("G", "1.7e308"),
+])
 def test_eval_huge_argument_has_finite_enclosure(capsys, target, x):
-    # x^2 + 1 is beyond binary64 here, but the value is not
+    # x^2 + 1 is beyond binary64 here, and from about 2.5e305 on so is
+    # ln Gamma(x+1), but the value is not
     assert main(["eval", target, x, "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     with mpmath.workdps(50):
@@ -158,6 +163,24 @@ def test_verify_n_max_flag(capsys):
     assert "sequence" in obj_text
     assert main(["verify", "theorem2", "--n-max", "3"]) == 2
     capsys.readouterr()
+
+
+def test_verify_refuses_oversized_n_max(tmp_path, capsys, monkeypatch):
+    # the cap is checked on a small one first, so a missing cap fails
+    # here instead of building a runaway list below
+    monkeypatch.setattr(certify, "_MAX_N_MAX", 40)
+    assert main(["verify", "theorem2", "--n-max", "40"]) == 0
+    assert main(["verify", "theorem2", "--n-max", "41"]) == 2
+    assert main(["verify", "remark1", "--n-max", "41"]) == 2
+    assert main(["report-all", "--out", str(tmp_path), "--n-max", "41"]) == 2
+    with pytest.raises(DomainError):
+        certify.explore_remark2(n_max=41)
+    monkeypatch.undo()
+    assert certify._MAX_N_MAX == 10**6
+    capsys.readouterr()
+    for argv in (["verify", "theorem2"], ["verify", "remark1"], ["report-all", "--out", str(tmp_path)]):
+        assert main(argv + ["--n-max", "100000000000"]) == 2, argv
+        assert "n_max" in capsys.readouterr().err, argv
 
 
 def test_verify_remark_trends(capsys):

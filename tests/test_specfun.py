@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from monocert.enclosure import DomainError, Enclosure, EULER_GAMMA
 from monocert.specfun import (
-    IntervalPolynomial,
-    certify_positive_interval_poly,
     digamma_bounds,
     ln_gamma,
+    ln_gamma_over_x,
     log1p_bounds,
     polygamma,
     polygamma_bounds,
@@ -51,11 +50,24 @@ def test_ln_gamma_exact_factorials():
         assert enc.contains(Fraction(math.factorial(n))), n
 
 
+@pytest.mark.parametrize("x", [0.25, 1.0, 8.0, 1e3, 1e100, 1e306, 1.7e308])
+def test_ln_gamma_over_x_holds_oracle(x):
+    # finite where ln_gamma itself overflows (from about 2.5e305 on)
+    enc = ln_gamma_over_x(x)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(x)
+        assert mpmath.mpf(enc.lo) <= mpmath.loggamma(t) / t <= mpmath.mpf(enc.hi)
+    if x >= 1e100:  # the envelope term theta/(12 x^2) is negligible
+        assert enc.width < 1e-12 * abs(enc.mid), x
+
+
 def test_ln_gamma_rejects_nonpositive():
     with pytest.raises(DomainError):
         ln_gamma(0.0)
     with pytest.raises(DomainError):
         ln_gamma(-2.5)
+    with pytest.raises(DomainError):
+        ln_gamma_over_x(0.0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -129,38 +141,3 @@ def test_bound_pair_domain_checks():
         polygamma_bounds(0, 1.0)  # elementary pair defined for k >= 1
     with pytest.raises(DomainError):
         log1p_bounds(0.0)
-
-
-def test_interval_polynomial_eval_and_derivative():
-    p = IntervalPolynomial([Enclosure.point(1.0), Enclosure.point(-2.0),
-                            Enclosure.point(1.0)])  # (x-1)^2
-    v = p.eval(Enclosure.point(3.0))
-    assert v.contains(Fraction(4))
-    d = p.derivative()
-    assert d.degree == 1
-    assert d.eval(Enclosure.point(3.0)).contains(Fraction(4))
-    assert p.eval(3.0).contains(Fraction(4))
-
-
-def test_interval_certify_positive():
-    # x^2 + x + [0.9, 1.1] is positive from 0 on
-    p = IntervalPolynomial([Enclosure(0.9, 1.1), Enclosure.point(1.0),
-                            Enclosure.point(1.0)])
-    cert = certify_positive_interval_poly(p, Fraction(0))
-    assert cert.verdict == "positive"
-
-
-def test_interval_certify_declines_zero_straddling_constant():
-    p = IntervalPolynomial([Enclosure(-0.1, 0.1), Enclosure.point(1.0)])
-    cert = certify_positive_interval_poly(p, Fraction(0))
-    assert cert.verdict == "not-certified"
-
-
-def test_interval_certify_uses_lower_endpoints():
-    """The certificate must hold for the worst polynomial in the
-    coefficient box, so a box that dips negative at the ray start is
-    refused even though the midpoint polynomial is positive."""
-    p = IntervalPolynomial([Enclosure(-2.0, 2.0), Enclosure.point(0.0),
-                            Enclosure.point(1.0)])
-    cert = certify_positive_interval_poly(p, Fraction(1))
-    assert cert.verdict == "not-certified"

@@ -21,6 +21,8 @@ from monocert.targets import (
     GuardZoneError,
     LEMMA_POLYS,
     LEMMA_VALUE_AT_ONE,
+    LOG_PI_POLYS,
+    LogPiPolynomial,
     RATE_NUMERATOR,
     SEQUENCE_MODES,
     ball_root_slope_chain,
@@ -150,16 +152,18 @@ def test_fg_ratio_core_anchor_value():
 
 
 def test_fg_ratio_core_rate_matches_psi_combination():
-    # rate = 4*p1*psi' ... spelled with polygamma orders 0..2 at x+1
-    for x in (1.0, 2.0, 7.5):
-        mx = mpmath.mpf(x)
-        p1 = -1 - mx + 3 * mx**2 + mx**3
-        p3 = -1 + 2 * mx**2 + 8 * mx**3 + 3 * mx**4
-        p4 = -1 + mx + 2 * mx**2 + 2 * mx**3 + 3 * mx**4 + mx**5
-        truth = (4 * p1 * mpmath.psi(0, mx + 1)
-                 + 2 * p3 * mpmath.psi(1, mx + 1)
-                 + p4 * mpmath.psi(2, mx + 1))
-        assert _contains(fg_ratio_core_rate(x), _fr(truth)), x
+    # rate = 4*p1*psi' ... spelled with polygamma orders 0..2 at x+1; at
+    # 1e70, p4(x) ~ x^5 is beyond binary64 but the rate ~ 4 x^3 ln x is not
+    for x in (1.0, 2.0, 7.5, 1e70):
+        with mpmath.workdps(50):
+            mx = mpmath.mpf(x)
+            p1 = -1 - mx + 3 * mx**2 + mx**3
+            p3 = -1 + 2 * mx**2 + 8 * mx**3 + 3 * mx**4
+            p4 = -1 + mx + 2 * mx**2 + 2 * mx**3 + 3 * mx**4 + mx**5
+            truth = (4 * p1 * mpmath.psi(0, mx + 1)
+                     + 2 * p3 * mpmath.psi(1, mx + 1)
+                     + p4 * mpmath.psi(2, mx + 1))
+            assert _contains(fg_ratio_core_rate(x), _fr(truth)), x
 
 
 def test_core_is_the_slope_ratio_derivative_numerator():
@@ -260,9 +264,63 @@ def test_chain_polynomial_tail_signs():
 def test_third_derivative_is_negated_quartic_table():
     a = chain_interval_poly("h2ppp")
     b = chain_interval_poly("p6")
-    assert a.degree == b.degree == 3
+    assert len(a.coeffs) == len(b.coeffs) == 4
     for ca, cb in zip(a.coeffs, b.coeffs):
         assert ca.lo == -cb.hi and ca.hi == -cb.lo
+
+
+def test_log_pi_polys_hold_their_exact_values():
+    # r(x) + ln(pi) s(x) from the exact parts, at 50 digits
+    def mp(q: Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(50):
+        ln_pi = mpmath.log(mpmath.pi)
+        for name, p in LOG_PI_POLYS.items():
+            for x in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(7), Fraction(-5, 3)):
+                truth = mp(p.rational.eval_at(x)) + ln_pi * mp(p.log_pi.eval_at(x))
+                enc = p.eval(Enclosure.from_rational(x))
+                assert mpmath.mpf(enc.lo) <= truth <= mpmath.mpf(enc.hi), (name, x)
+
+
+def test_logpi_polynomial_eval_and_derivative():
+    # (x - 1)^2 + ln(pi) x, and its derivative 2x - 2 + ln(pi)
+    p = LogPiPolynomial(RationalPolynomial((1, -2, 1)), RationalPolynomial((0, 1)))
+    lg = _log_pi()
+    for x in (Enclosure.point(3.0), 3.0):
+        assert _contains(p.eval(x), _fr(4 + 3 * lg))
+    d = p.derivative()
+    assert len(d.coeffs) == 2
+    assert _contains(d.eval(Enclosure.point(3.0)), _fr(4 + lg))
+
+
+def test_logpi_certify_positive():
+    # x^2 + x + ln(pi) is positive from 0 on
+    p = LogPiPolynomial(RationalPolynomial((0, 1, 1)), RationalPolynomial((1,)))
+    assert p.certify_positive(Fraction(0)).verdict == "positive"
+    with pytest.raises(DomainError):
+        p.certify_positive(Fraction(-1))
+
+
+def test_logpi_certify_declines_zero_straddling_constant():
+    # the constant ln(pi) - LN_PI.lo is positive, but its enclosure
+    # reaches below zero, so x + that constant is not certified from 0
+    p = LogPiPolynomial(RationalPolynomial((-Fraction(LN_PI.lo), 1)), RationalPolynomial((1,)))
+    c = p.coeffs[0]
+    assert c.lo < 0 < c.hi
+    assert p.certify_positive(Fraction(0)).verdict == "not-certified"
+
+
+def test_logpi_certify_uses_lower_endpoints():
+    """The certificate must hold for the polynomial of the coefficient
+    lower endpoints, so x^2 - 1 + (ln(pi) - LN_PI.lo), which is positive
+    on [1, oo), is refused: its lower-endpoint polynomial is not
+    positive at 1."""
+    p = LogPiPolynomial(
+        RationalPolynomial((-1 - Fraction(LN_PI.lo), 0, 1)), RationalPolynomial((1,))
+    )
+    assert Fraction(p.coeffs[0].lo) + 1 <= 0
+    assert p.certify_positive(Fraction(1)).verdict == "not-certified"
 
 
 def test_chain_finite_differences():
