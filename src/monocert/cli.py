@@ -191,6 +191,9 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_report_all(args) -> int:
+    # remark1's minimum of 10 is the largest, so no suite can refuse
+    # n_max after another has run
+    certify._check_n_max(args.n_max, 10, "report-all")
     out_dir = Path(args.out if args.out is not None else "reports")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -92,7 +92,10 @@ class Enclosure:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        # lo + hi overflows only when both ends share a sign and lie far
+        # above the subnormals, so then their halves are exact
+        m = 0.5 * (self.lo + self.hi)
+        return m if math.isfinite(m) else 0.5 * self.lo + 0.5 * self.hi
 
     @property
     def strictly_positive(self) -> bool:

@@ -2,8 +2,8 @@
 
 A polynomial's coefficients are `fractions.Fraction` values stored in
 ascending order (constant term first), and every value this module
-returns is exact.  The certificates turn "p > 0 on [a, infinity)" into
-a finite, replayable piece of evidence.
+returns is exact.  A certificate answers "is p > 0 on [a, infinity)?"
+with a verdict and the name of the exact stage that settled it.
 
 Every question a certificate asks is a sign question: the signs of the
 shifted coefficients, the sign of p at a point, and the sign variations
@@ -14,6 +14,12 @@ lcm; each Sturm chain member is divided by its positive content; a
 pseudo-remainder scales by |lc|, never by a possibly negative lc; and a
 point n/d with d > 0 is evaluated homogeneously, which scales the value
 by d^deg.  Only the rational results are rebuilt as `Fraction`.
+
+The Sturm chain runs on p itself, square-free or not: it ends at
+gcd(p, p'), which divides every member and has no zero away from the
+roots of p, so between two points that are not roots of p the drop in
+sign variations counts the distinct roots (Sturm's theorem in its
+Cauchy-index form).  Interval ends must therefore not be roots.
 """
 
 from __future__ import annotations
@@ -95,33 +101,10 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _squarefree(cs: list[int]) -> list[int]:
-    """Primitive square-free part of a nonconstant primitive vector, a
-    multiple of cs / gcd(cs, cs').  Its sign does not matter: negating
-    a Sturm chain's first member negates every member and keeps every
-    sign variation."""
-    a, b = cs, _primitive(_int_derivative(cs))
-    while b:  # primitive PRS: a and b keep the gcd up to a constant
-        r = _prem(a, b)
-        a, b = b, _primitive(r) if r else r
-    if len(a) == 1:
-        return cs
-    # Gauss's lemma: a primitive divisor over Q divides over Z, so every
-    # step of the long division below is an exact integer division
-    rem = list(cs)
-    db = len(a) - 1
-    quot = [0] * (len(cs) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + db] // a[-1]
-        quot[k] = q
-        for i, c in enumerate(a):
-            rem[k + i] -= q * c
-    return _primitive(quot)
-
-
 def _sturm_chain(q: list[int]) -> list[list[int]]:
-    """Sturm chain of a square-free q of degree >= 1, each member a
-    positive multiple of the classical q, q', -rem(...) member."""
+    """Sturm chain of q of degree >= 1, each member a positive multiple
+    of the classical q, q', -rem(...) member; it stops at a multiple of
+    gcd(q, q') when the next remainder vanishes."""
     chain = [q, _primitive(_int_derivative(q))]
     while len(chain[-1]) > 1:
         r = _prem(chain[-2], chain[-1])
@@ -248,7 +231,7 @@ class RationalPolynomial:
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     def cauchy_root_bound(self) -> Fraction:
-        """1 + max |c_i / c_deg|: every real root lies in [-B, B]."""
+        """1 + max |c_i / c_deg|: every real root r has |r| < B."""
         if self.is_zero:
             raise ValueError("root bound of the zero polynomial")
         ints, _ = _cleared(self.coeffs)
@@ -257,9 +240,7 @@ class RationalPolynomial:
     def sturm_root_count(self, a, b) -> int:
         """Exact number of distinct real roots in the open interval (a, b).
 
-        Endpoints that are themselves roots are nudged inward by an
-        exact eps = 2**-k, with k grown until the nudge provably skips
-        no root (the chain itself validates each nudge).
+        Raises ValueError when a or b is itself a root.
         """
         aq, bq = _frac(a), _frac(b)
         if aq >= bq:
@@ -268,81 +249,26 @@ class RationalPolynomial:
             raise ValueError("root count of the zero polynomial")
         if self.degree <= 0:
             return 0
-        sqf = _squarefree(_primitive(_cleared(self.coeffs)[0]))
-        chain = _sturm_chain(sqf)
-
-        def is_root(t: Fraction) -> bool:
-            return _homogeneous(sqf, t.numerator, t.denominator) == 0
+        chain = _sturm_chain(_primitive(_cleared(self.coeffs)[0]))
 
         def variations(t: Fraction) -> int:
             n, d = t.numerator, t.denominator
-            values = (_homogeneous(s, n, d) for s in chain)
+            values = [_homogeneous(s, n, d) for s in chain]
+            if not values[0]:
+                raise ValueError(f"interval end {t} is a root")
             signs = [v > 0 for v in values if v]
             return sum(s != t2 for s, t2 in zip(signs, signs[1:]))
 
-        lo = aq
-        if is_root(lo):
-            k = 8
-            while True:
-                cand = aq + Fraction(1, 2**k)
-                if (
-                    cand < bq
-                    and not is_root(cand)
-                    and variations(aq) - variations(cand) == 0
-                ):
-                    lo = cand
-                    break
-                k += 1
-        hi = bq
-        if is_root(hi):
-            k = 8
-            while True:
-                cand = bq - Fraction(1, 2**k)
-                if (
-                    cand > lo
-                    and not is_root(cand)
-                    and variations(cand) - variations(bq) == 1
-                ):
-                    hi = cand
-                    break
-                k += 1
-        return variations(lo) - variations(hi)
-
-    # -- serialization -----------------------------------------------
-
-    def to_json_obj(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[str]) -> "RationalPolynomial":
-        return cls(Fraction(s) for s in obj)
+        return variations(aq) - variations(bq)
 
 
 @dataclass(frozen=True)
 class PositivityCertificate:
-    """Replayable evidence that a polynomial is positive on [a, infinity)."""
+    """Whether a polynomial is certified positive on [a, infinity), and
+    by which stage (None when it is not)."""
 
-    polynomial: RationalPolynomial
-    domain_start: Fraction
     verdict: str
     method: Optional[str]
-    sign_changes: Optional[int]
-    endpoint_values: tuple
-
-    def to_json_obj(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json_obj(),
-            "domain_start": f"{self.domain_start.numerator}/{self.domain_start.denominator}",
-            "verdict": self.verdict,
-            "method": self.method,
-            "sign_changes": self.sign_changes,
-            "endpoint_values": [
-                [f"{p.numerator}/{p.denominator}", f"{v.numerator}/{v.denominator}"]
-                for p, v in self.endpoint_values
-            ],
-            # kept in the replay format; no stage localizes a root
-            "localization_point": None,
-        }
 
 
 def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
@@ -350,8 +276,9 @@ def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
 
     1. Shifted-coefficient test: every coefficient of p(x + a)
        nonnegative with positive constant term.
-    2. Sturm: zero distinct roots in (a, B] for the Cauchy bound B,
-       together with p(a) > 0.
+    2. Sturm: zero distinct roots in the open interval (a, B) for the
+       Cauchy bound B, together with p(a) > 0.  Neither end is a root:
+       p(a) > 0, and every real root r has |r| < B strictly.
 
     The first stage that succeeds names the certificate's method.
 
@@ -365,29 +292,11 @@ def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
     at a, and those derivatives over k! are the shifted coefficients.
     """
     aq = _frac(a)
-    if p.is_zero:
-        return PositivityCertificate(p, aq, VERDICT_NOT_CERTIFIED, None, None, ())
-    value_at_a = p.eval_at(aq)
-    changes = p.descartes_sign_changes()
-    endpoints = [(aq, value_at_a)]
-
-    shifted = p.taylor_shift(aq)
-    if value_at_a > 0 and all(c >= 0 for c in shifted.coeffs):
-        return PositivityCertificate(
-            p, aq, VERDICT_POSITIVE, METHOD_SHIFTED_COEFFS, changes, tuple(endpoints)
-        )
-
-    if aq > 0:
-        # the replay format records p(0) whenever the first stage fails
-        endpoints.append((Fraction(0), p.eval_at(Fraction(0))))
-
-    if value_at_a > 0:
-        bound = p.cauchy_root_bound()
-        if bound <= aq or p.sturm_root_count(aq, max(bound, aq + 1)) == 0:
-            return PositivityCertificate(
-                p, aq, VERDICT_POSITIVE, METHOD_STURM, changes, tuple(endpoints)
-            )
-
-    return PositivityCertificate(
-        p, aq, VERDICT_NOT_CERTIFIED, None, changes, tuple(endpoints)
-    )
+    if p.is_zero or p.eval_at(aq) <= 0:
+        return PositivityCertificate(VERDICT_NOT_CERTIFIED, None)
+    if all(c >= 0 for c in p.taylor_shift(aq).coeffs):
+        return PositivityCertificate(VERDICT_POSITIVE, METHOD_SHIFTED_COEFFS)
+    bound = p.cauchy_root_bound()
+    if bound <= aq or p.sturm_root_count(aq, bound) == 0:
+        return PositivityCertificate(VERDICT_POSITIVE, METHOD_STURM)
+    return PositivityCertificate(VERDICT_NOT_CERTIFIED, None)

@@ -78,9 +78,14 @@ def test_eval_domain_and_overflow_errors(capsys):
 ])
 def test_eval_huge_argument_has_finite_enclosure(capsys, target, x):
     # x^2 + 1 is beyond binary64 here, and from about 2.5e305 on so is
-    # ln Gamma(x+1), but the value is not
+    # ln Gamma(x+1), but the value is not; nor is the midpoint, even
+    # where lo + hi overflows, so the output is strict JSON
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
     assert main(["eval", target, x, "--format", "json"]) == 0
-    obj = json.loads(capsys.readouterr().out)
+    obj = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert obj["lo"] <= obj["mid"] <= obj["hi"]
     with mpmath.workdps(50):
         t = mpmath.mpf(float(x))
         ln_gamma = mpmath.loggamma(t + 1)
@@ -181,6 +186,18 @@ def test_verify_refuses_oversized_n_max(tmp_path, capsys, monkeypatch):
     for argv in (["verify", "theorem2"], ["verify", "remark1"], ["report-all", "--out", str(tmp_path)]):
         assert main(argv + ["--n-max", "100000000000"]) == 2, argv
         assert "n_max" in capsys.readouterr().err, argv
+
+
+def test_report_all_checks_n_max_before_any_suite(tmp_path, capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(certify, "verify_lemma2", no_suite)
+    for n_max in ("100000000000", "5"):
+        out = tmp_path / n_max
+        assert main(["report-all", "--out", str(out), "--n-max", n_max]) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verify_remark_trends(capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monocert.enclosure import (
     CONSTANTS,
@@ -116,6 +116,26 @@ def test_pow_int_contains_exact_result(x, n):
     p = x.pow_int(n)
     for f in (x.lo, x.hi, x.mid):
         assert p.contains(Fraction(f) ** n)
+
+
+extreme = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max,
+                     5e-324, -5e-324, 1e-323, sys.float_info.min]),
+)
+
+
+@given(extreme, extreme)
+@example(1.7e308, 1.7e308)
+@example(-1.7e308, -sys.float_info.max)
+@example(1e300, sys.float_info.max)  # overflows with one end below max/2
+@example(5e-324, 5e-324)  # where 0.5*lo + 0.5*hi gives 0
+def test_mid_is_finite_and_inside(a, b):
+    x = Enclosure(min(a, b), max(a, b))
+    assert math.isfinite(x.mid) and x.lo <= x.mid <= x.hi
+    plain = 0.5 * (x.lo + x.hi)
+    if math.isfinite(plain):
+        assert x.mid == plain
 
 
 def test_pow_int_rejects_negative_exponent():
