@@ -157,16 +157,23 @@ def _anchor_step(step_id: str, description: str, computed: Enclosure,
     )
 
 
+def _check_step(step_id: str, description: str, ok: bool, expected,
+                computed: Optional[Enclosure] = None) -> ProofStep:
+    """Pass iff ok, else fail: a check that is decided exactly."""
+    return ProofStep(step_id, description, PASS if ok else FAIL, computed, expected)
+
+
 def _exact_value_step(step_id: str, description: str, value: Fraction,
                       expected: Fraction) -> ProofStep:
-    return ProofStep(
-        id=step_id,
-        description=description,
-        status=PASS if value == expected else FAIL,
-        computed=Enclosure.from_rational(value),
-        expected=f"{expected} exactly",
-        tolerance=0.0,
-    )
+    return _check_step(step_id, description, value == expected,
+                       f"{expected} exactly", Enclosure.from_rational(value))
+
+
+def _sign_mark(enclosure: Enclosure) -> str:
+    """The side of zero an enclosure strictly lies on, "+" or "-", else "?"."""
+    if enclosure.strictly_positive:
+        return "+"
+    return "-" if enclosure.strictly_negative else "?"
 
 
 # --- grid certificates ---
@@ -192,28 +199,51 @@ def _build_grid(a: float, b: float, step: float) -> tuple:
             f"grid window a={a!r} b={b!r} step={step!r} needs more than "
             f"{_MAX_GRID_POINTS} points"
         )
-    count = int(span)
     pts = []
-    for k in range(count + 1):
-        p = a + k * step
-        # points that land a rounding error away from a removable
-        # singularity snap onto it; the evaluator supplies the exact
-        # limit value there
-        for target in _SNAP_POINTS:
-            if p != target and abs(p - target) <= targets.GUARD_RADIUS:
-                p = target
-        pts.append(p)
+    for k in range(int(span) + 1):
+        p = _snap(a + k * step)
+        # several points may snap onto one singularity; keep it once so
+        # the grid stays strictly increasing
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    if len(pts) < 2:  # no pair to separate: a certificate would be vacuous
+        raise DomainError(
+            f"grid window a={a!r} b={b!r} step={step!r} has fewer than two points"
+        )
     return tuple(pts)
 
 
+def _snap(p: float) -> float:
+    """p, or the removable singularity p lies a rounding error away
+    from; the evaluator supplies the exact limit value there."""
+    for target in _SNAP_POINTS:
+        if p != target and abs(p - target) <= targets.GUARD_RADIUS:
+            return target
+    return p
+
+
 def _pair_separated(u: Enclosure, v: Enclosure, direction: str) -> bool:
+    """u and v are strictly separated, v after u in direction."""
     if direction == "increasing":
         return u.hi < v.lo
     return v.hi < u.lo
 
 
+def _first_unseparated(values, direction: str) -> Optional[int]:
+    """Index i of the first pair (values[i], values[i+1]) that is not
+    strictly separated in direction, or None if every pair is."""
+    for i, (u, v) in enumerate(pairwise(values)):
+        if not _pair_separated(u, v, direction):
+            return i
+    return None
+
+
 def _strictly_monotone(values, direction: str) -> bool:
-    return all(_pair_separated(u, v, direction) for u, v in pairwise(values))
+    return _first_unseparated(values, direction) is None
+
+
+# what a step built on _strictly_monotone expects
+_EVERY_PAIR = "strict enclosure separation at every pair"
 
 
 def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> GridCertificate:
@@ -237,22 +267,21 @@ def grid_monotone_certificate(function_id: str, a, b, step, direction: str) -> G
         )
     grid = _build_grid(float(a), float(b), float(step))
     values = [fn(p) for p in grid]
-    verified = 0
-    for i in range(len(grid) - 1):
-        u, v = values[i], values[i + 1]
-        if _pair_separated(u, v, direction):
-            verified += 1
-            continue
-        # separated the other way round: the claim is provably false here
-        refuted = _pair_separated(v, u, direction)
-        if not refuted:
-            w = fn(0.5 * (grid[i] + grid[i + 1]))
-            refuted = _pair_separated(w, u, direction) or _pair_separated(v, w, direction)
-        return GridCertificate(
-            function_id, direction, grid, verified,
-            FAIL if refuted else INCONCLUSIVE, offending_pair=(grid[i], grid[i + 1]),
-        )
-    return GridCertificate(function_id, direction, grid, verified, "certified")
+    i = _first_unseparated(values, direction)
+    if i is None:
+        return GridCertificate(function_id, direction, grid, len(grid) - 1, "certified")
+    u, v = values[i], values[i + 1]
+    # separated the other way round: the claim is provably false here
+    refuted = _pair_separated(v, u, direction)
+    if not refuted:
+        # the snapped midpoint stays in [grid[i], grid[i + 1]]: a
+        # singularity within reach of it would have captured an end
+        w = fn(_snap(0.5 * (grid[i] + grid[i + 1])))
+        refuted = _pair_separated(w, u, direction) or _pair_separated(v, w, direction)
+    return GridCertificate(
+        function_id, direction, grid, i,
+        FAIL if refuted else INCONCLUSIVE, offending_pair=(grid[i], grid[i + 1]),
+    )
 
 
 def _grid_step(step_id: str, cert: GridCertificate, claim: str) -> ProofStep:
@@ -263,19 +292,13 @@ def _grid_step(step_id: str, cert: GridCertificate, claim: str) -> ProofStep:
     )
     if cert.offending_pair is not None:
         detail += f"; offending pair {cert.offending_pair!r}"
-    return ProofStep(
-        id=step_id,
-        description=detail,
-        status=status,
-        computed=None,
-        expected=f"strict enclosure separation, {cert.direction}",
-        tolerance=0.0,
-    )
+    return ProofStep(step_id, detail, status,
+                     expected=f"strict enclosure separation, {cert.direction}")
 
 
 # --- lemma 2 ---
 
-_P6_EXPECTED_SIGNS = ("-", "+", "+", "+")  # ascending degree
+_P6_EXPECTED_SIGNS = "-+++"  # ascending degree
 
 
 def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
@@ -297,13 +320,9 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
         )
         if name == "p2" and p.coeffs == polys["p1"].coeffs:
             desc += " [as printed, p2 duplicates p1]"
-        steps.append(ProofStep(
-            id=f"lemma2/{3 * i + 1:02d}-{name}-positive",
-            description=desc,
-            status=PASS if ok else FAIL,
-            computed=None,
-            expected="sign changes = 1 and verdict positive",
-            tolerance=0.0,
+        steps.append(_check_step(
+            f"lemma2/{3 * i + 1:02d}-{name}-positive", desc, ok,
+            "sign changes = 1 and verdict positive",
         ))
         steps.append(_exact_value_step(
             f"lemma2/{3 * i + 2:02d}-{name}-at-0", f"{name}(0) evaluates exactly",
@@ -315,23 +334,15 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
         ))
 
     p6 = polys["p6"]
-    signs = tuple(
-        "-" if c.strictly_negative else "+" if c.strictly_positive else "?"
-        for c in p6.coeffs
-    )
+    signs = "".join(_sign_mark(c) for c in p6.coeffs)
     p6_cert = p6.certify_positive(Fraction(1))
-    p6_ok = signs == _P6_EXPECTED_SIGNS and p6_cert.verdict == "positive"
-    steps.append(ProofStep(
-        id="lemma2/16-p6-positive",
-        description=(
-            "p6 coefficient enclosures exclude zero with ascending signs "
-            f"{''.join(signs)} and the lower-endpoint polynomial is certified "
-            f"positive on [1, oo) (method {p6_cert.method or 'none'})"
-        ),
-        status=PASS if p6_ok else FAIL,
-        computed=None,
-        expected=f"signs {''.join(_P6_EXPECTED_SIGNS)} and verdict positive",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "lemma2/16-p6-positive",
+        "p6 coefficient enclosures exclude zero with ascending signs "
+        f"{signs} and the lower-endpoint polynomial is certified "
+        f"positive on [1, oo) (method {p6_cert.method or 'none'})",
+        signs == _P6_EXPECTED_SIGNS and p6_cert.verdict == "positive",
+        f"signs {_P6_EXPECTED_SIGNS} and verdict positive",
     ))
     steps.append(_anchor_step(
         "lemma2/17-p6-at-0", "p6 evaluated at 0",
@@ -343,18 +354,13 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
     ))
 
     dup = polys["p2"].coeffs == polys["p1"].coeffs
-    steps.append(ProofStep(
-        id="lemma2/19-p2-duplication-notice",
-        description=(
-            "as printed, p2 is the identical polynomial to p1; certified as "
-            "printed with no repair attempted"
-            if dup else
-            "p2 differs from p1 in this run (injected polynomials)"
-        ),
-        status=PASS,
-        computed=None,
-        expected=None,
-        tolerance=0.0,
+    steps.append(_check_step(
+        "lemma2/19-p2-duplication-notice",
+        "as printed, p2 is the identical polynomial to p1; certified as "
+        "printed with no repair attempted"
+        if dup else
+        "p2 differs from p1 in this run (injected polynomials)",
+        True, None,
     ))
     return VerificationReport.from_steps("lemma2", steps)
 
@@ -394,31 +400,22 @@ def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport
 
     shifted = RATE_NUMERATOR.taylor_shift(Fraction(1))
     got = tuple(int(c) for c in shifted.coeffs)
-    steps.append(ProofStep(
-        id="theorem1/02-shift-identity",
-        description=(
-            "re-expanding the degree-6 rate numerator about 1 gives ascending "
-            f"coefficients {got}"
-        ),
-        status=PASS if got == _SHIFT_EXPECTED else FAIL,
-        computed=None,
-        expected=f"{_SHIFT_EXPECTED} exactly",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem1/02-shift-identity",
+        "re-expanding the degree-6 rate numerator about 1 gives ascending "
+        f"coefficients {got}",
+        got == _SHIFT_EXPECTED, f"{_SHIFT_EXPECTED} exactly",
     ))
 
     pts = _half_grid()
     bounds = [fg_ratio_core_rate_lower_bound(t) for t in pts]
     min_bound = min(bounds)
-    steps.append(ProofStep(
-        id="theorem1/03-rate-lower-bound-positive",
-        description=(
-            "exact rational lower bound on the core rate is positive at all "
-            f"{len(pts)} half-integer points in [1, 50] (minimum {min_bound})"
-        ),
-        status=PASS if all(bv > 0 for bv in bounds) else FAIL,
-        computed=Enclosure.from_rational(min_bound),
-        expected="> 0 exactly at every point",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem1/03-rate-lower-bound-positive",
+        "exact rational lower bound on the core rate is positive at all "
+        f"{len(pts)} half-integer points in [1, 50] (minimum {min_bound})",
+        all(bv > 0 for bv in bounds), "> 0 exactly at every point",
+        Enclosure.from_rational(min_bound),
     ))
 
     dominated = 0
@@ -429,32 +426,21 @@ def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport
             positive += 1
         if rate.lo > bv:
             dominated += 1
-    steps.append(ProofStep(
-        id="theorem1/04-rate-dominates-bound",
-        description=(
-            f"displayed core rate is strictly positive at {positive}/{len(pts)} "
-            f"grid points and strictly above its rational lower bound at "
-            f"{dominated}/{len(pts)}"
-        ),
-        status=PASS if dominated == len(pts) and positive == len(pts) else FAIL,
-        computed=None,
-        expected="both at every point",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem1/04-rate-dominates-bound",
+        f"displayed core rate is strictly positive at {positive}/{len(pts)} "
+        f"grid points and strictly above its rational lower bound at "
+        f"{dominated}/{len(pts)}",
+        dominated == len(pts) and positive == len(pts), "both at every point",
     ))
 
     ratios = [fg_ratio(t) for t in pts]
-    increasing = _strictly_monotone(ratios, "increasing")
-    steps.append(ProofStep(
-        id="theorem1/05-fg-ratio-increasing",
-        description=(
-            "slope ratio fg_ratio strictly increases across the half-integer "
-            f"grid in [1, 50] ({len(ratios) - 1} separations); this is the "
-            "monotone-quotient rule's hypothesis check, the rule itself is trusted"
-        ),
-        status=PASS if increasing else FAIL,
-        computed=None,
-        expected="strict enclosure separation at every pair",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem1/05-fg-ratio-increasing",
+        "slope ratio fg_ratio strictly increases across the half-integer "
+        f"grid in [1, 50] ({len(ratios) - 1} separations); this is the "
+        "monotone-quotient rule's hypothesis check, the rule itself is trusted",
+        _strictly_monotone(ratios, "increasing"), _EVERY_PAIR,
     ))
 
     cert = grid_monotone_certificate("gamma_log_ratio", grid[0], grid[1], grid[2], "increasing")
@@ -496,17 +482,12 @@ def verify_theorem2(n_max: int = 200, anchors=None,
     steps = []
 
     cert = (-LOG_PI_POLYS["h2ppp"]).certify_positive(Fraction(1))
-    steps.append(ProofStep(
-        id="theorem2/01-chain-tail-negative",
-        description=(
-            "the third derivative of the chain's polynomial tail is negative "
-            "on [1, oo): its negation carries a positivity certificate "
-            f"(method {cert.method or 'none'})"
-        ),
-        status=PASS if cert.verdict == "positive" else FAIL,
-        computed=None,
-        expected="verdict positive for the negation",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem2/01-chain-tail-negative",
+        "the third derivative of the chain's polynomial tail is negative "
+        "on [1, oo): its negation carries a positivity certificate "
+        f"(method {cert.method or 'none'})",
+        cert.verdict == "positive", "verdict positive for the negation",
     ))
 
     steps.append(_anchor_step(
@@ -536,17 +517,13 @@ def verify_theorem2(n_max: int = 200, anchors=None,
         1 for t in samples
         if chain_rate_bound_with_log(t).lo > chain_rate_bound_rational(t).hi
     )
-    steps.append(ProofStep(
-        id="theorem2/07-rate-bound-chain",
-        description=(
-            "applying the logarithm inequality weakens the chain-rate bound in "
-            f"the proven direction at {consistent}/{len(samples)} seeded sample "
-            "points in (1, 20]"
-        ),
-        status=PASS if consistent == len(samples) else FAIL,
-        computed=None,
-        expected="with-log bound strictly above rational bound at every sample",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem2/07-rate-bound-chain",
+        "applying the logarithm inequality weakens the chain-rate bound in "
+        f"the proven direction at {consistent}/{len(samples)} seeded sample "
+        "points in (1, 20]",
+        consistent == len(samples),
+        "with-log bound strictly above rational bound at every sample",
     ))
 
     cert = grid_monotone_certificate("log_ball_volume_root", grid[0], grid[1], grid[2], "decreasing")
@@ -558,17 +535,11 @@ def verify_theorem2(n_max: int = 200, anchors=None,
     ))
 
     terms = [log_omega_sequence_term(n) for n in range(3, n_max + 1)]
-    separated = _strictly_monotone(terms, "decreasing")
-    steps.append(ProofStep(
-        id="theorem2/09-sequence-decreasing",
-        description=(
-            f"log of the dimension-sequence term strictly decreases for n = 3..{n_max} "
-            f"({len(terms) - 1} separations, log domain)"
-        ),
-        status=PASS if separated else FAIL,
-        computed=None,
-        expected="strict enclosure separation at every pair",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "theorem2/09-sequence-decreasing",
+        f"log of the dimension-sequence term strictly decreases for n = 3..{n_max} "
+        f"({len(terms) - 1} separations, log domain)",
+        _strictly_monotone(terms, "decreasing"), _EVERY_PAIR,
     ))
     return VerificationReport.from_steps("theorem2", steps)
 
@@ -586,81 +557,54 @@ def verify_remark1(n_max: int = 200) -> VerificationReport:
     steps = []
 
     inv_n = [volume_sequence_value(n, "inv_n") for n in range(1, n_max + 1)]
-    decreasing = _strictly_monotone(inv_n, "decreasing")
     probe = log_volume_sequence_value(_TREND_PROBE_N, "inv_n")
     threshold = (inv_n[0] * 0.01).log()
-    probe_ok = probe.hi < threshold.lo
-    steps.append(ProofStep(
-        id="remark1/01-inv-n-decreasing",
-        description=(
-            f"volume^(1/n) strictly decreases for n = 1..{n_max} and at the far "
-            f"probe n = {_TREND_PROBE_N} has fallen below 10^-2 of its first "
-            "term (log-domain comparison)"
-        ),
-        status=PASS if decreasing and probe_ok else FAIL,
-        computed=probe,
-        expected=f"separation at every pair and log value < {threshold.lo!r}",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "remark1/01-inv-n-decreasing",
+        f"volume^(1/n) strictly decreases for n = 1..{n_max} and at the far "
+        f"probe n = {_TREND_PROBE_N} has fallen below 10^-2 of its first "
+        "term (log-domain comparison)",
+        _strictly_monotone(inv_n, "decreasing") and probe.hi < threshold.lo,
+        f"separation at every pair and log value < {threshold.lo!r}", probe,
     ))
 
     inv_nlnn = [volume_sequence_value(n, "inv_nlnn") for n in range(2, n_max + 1)]
-    decreasing2 = _strictly_monotone(inv_nlnn, "decreasing")
-    steps.append(ProofStep(
-        id="remark1/02-inv-nlnn-decreasing",
-        description=f"volume^(1/(n ln n)) strictly decreases for n = 2..{n_max}",
-        status=PASS if decreasing2 else FAIL,
-        computed=None,
-        expected="strict enclosure separation at every pair",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "remark1/02-inv-nlnn-decreasing",
+        f"volume^(1/(n ln n)) strictly decreases for n = 2..{n_max}",
+        _strictly_monotone(inv_nlnn, "decreasing"), _EVERY_PAIR,
     ))
 
     limit = (-Enclosure(0.5, 0.5)).exp()
     gaps = [
         volume_sequence_value(n, "inv_nlnn") - limit for n in _GAP_PROBES
     ]
-    above = all(g.strictly_positive for g in gaps)
-    shrinking = _strictly_monotone(gaps, "decreasing")
-    steps.append(ProofStep(
-        id="remark1/03-limit-gap-shrinking",
-        description=(
-            "distance of volume^(1/(n ln n)) from exp(-1/2) stays positive and "
-            f"strictly shrinks along n in {list(_GAP_PROBES)} (trend check, "
-            "explicitly not a limit proof)"
-        ),
-        status=PASS if above and shrinking else FAIL,
-        computed=gaps[-1],
-        expected="positive, strictly shrinking gaps",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "remark1/03-limit-gap-shrinking",
+        "distance of volume^(1/(n ln n)) from exp(-1/2) stays positive and "
+        f"strictly shrinks along n in {list(_GAP_PROBES)} (trend check, "
+        "explicitly not a limit proof)",
+        all(g.strictly_positive for g in gaps) and _strictly_monotone(gaps, "decreasing"),
+        "positive, strictly shrinking gaps", gaps[-1],
     ))
 
     trend = [log_ball_volume_root(float(10 ** k)) for k in range(1, 6)]
-    trend_dec = _strictly_monotone(trend, "decreasing")
     far = log_ball_volume_root(1e6)
-    far_small = far.hi < math.log(1e-3)
-    steps.append(ProofStep(
-        id="remark1/04-continuous-trend",
-        description=(
-            "log of the ball-volume root strictly decreases along x = 10^1..10^5 "
-            "and at x = 10^6 the value is below 10^-3 (log-domain comparison)"
-        ),
-        status=PASS if trend_dec and far_small else FAIL,
-        computed=far,
-        expected=f"decreasing probes and log value < {math.log(1e-3)!r}",
-        tolerance=0.0,
+    steps.append(_check_step(
+        "remark1/04-continuous-trend",
+        "log of the ball-volume root strictly decreases along x = 10^1..10^5 "
+        "and at x = 10^6 the value is below 10^-3 (log-domain comparison)",
+        _strictly_monotone(trend, "decreasing") and far.hi < math.log(1e-3),
+        f"decreasing probes and log value < {math.log(1e-3)!r}", far,
     ))
     return VerificationReport.from_steps("remark1", steps)
 
 
 # --- remark 2 exploration (never contributes to verdicts) ---
 
-def _second_difference_signs(xs, vs) -> list:
-    signs = []
-    for i in range(1, len(xs) - 1):
-        left = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
-        right = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-        d2 = right - left
-        signs.append("+" if d2.strictly_positive else "-" if d2.strictly_negative else "?")
-    return signs
+def _second_difference_signs(xs, vs) -> str:
+    slopes = [(v - u) / (b - a) for a, b, u, v in zip(xs, xs[1:], vs, vs[1:])]
+    return "".join(_sign_mark(right - left) for left, right in pairwise(slopes))
 
 
 def explore_remark2(grid=None, n_max: int = 100) -> dict:
@@ -693,12 +637,12 @@ def explore_remark2(grid=None, n_max: int = 100) -> dict:
         "claim": "log-convexity survey; no verdict, conjecture status unknown",
         "continuous": {
             "grid": grid,
-            "second_difference_signs": "".join(cont_signs),
+            "second_difference_signs": cont_signs,
         },
         "sequence": {
             "n_from": 3,
             "n_to": n_max,
-            "second_difference_signs": "".join(seq_signs),
+            "second_difference_signs": seq_signs,
         },
     }
 

@@ -20,8 +20,6 @@ from .targets import (
     ball_volume_root,
     fg_ratio_core,
     gamma_log_ratio,
-    omega_sequence_term,
-    unit_ball_volume,
     volume_sequence_value,
 )
 
@@ -42,8 +40,8 @@ _STATUS_EXIT = {
 _EVAL_TARGETS = {
     "F": (gamma_log_ratio, "real"),
     "G": (ball_volume_root, "real"),
-    "omega": (unit_ball_volume, "dimension"),
-    "omega_term": (omega_sequence_term, "dimension"),
+    "omega": (lambda n: volume_sequence_value(n, "unit"), "dimension"),
+    "omega_term": (lambda n: volume_sequence_value(n, "paper"), "dimension"),
     "q": (fg_ratio_core, "real"),
     "h": (lambda x: ball_root_slope_chain("h", x), "real"),
     "h1": (lambda x: ball_root_slope_chain("h1", x), "real"),
@@ -145,11 +143,9 @@ def _cmd_verify(args) -> int:
 
 
 def _difference_sign(prev: Enclosure, cur: Enclosure) -> str:
-    if cur.hi < prev.lo:
+    if certify._pair_separated(prev, cur, "decreasing"):
         return "-"
-    if cur.lo > prev.hi:
-        return "+"
-    return "?"
+    return "+" if certify._pair_separated(prev, cur, "increasing") else "?"
 
 
 def _cmd_sequence(args) -> int:

@@ -40,9 +40,7 @@ __all__ = [
     "log_ball_volume_root",
     "ball_volume_root",
     "log_unit_ball_volume",
-    "unit_ball_volume",
     "log_omega_sequence_term",
-    "omega_sequence_term",
     "SEQUENCE_MODES",
     "log_volume_sequence_value",
     "volume_sequence_value",
@@ -277,27 +275,11 @@ def log_unit_ball_volume(n) -> Enclosure:
     return LN_PI * _enc(half) - ln_gamma(_enc(half + 1))
 
 
-def unit_ball_volume(n) -> Enclosure:
-    n = _check_dimension(n, 1, "unit_ball_volume")
-    return log_unit_ball_volume(n).exp()
-
-
 def log_omega_sequence_term(n) -> Enclosure:
-    """ln of omega_sequence_term; robust for large n."""
+    """ln of volume_sequence_value(n, "paper") = ball_volume_root(n/2);
+    robust for large n."""
     n = _check_dimension(n, 3, "log_omega_sequence_term")
     return log_ball_volume_root(Fraction(n, 2))
-
-
-def omega_sequence_term(n) -> Enclosure:
-    """The ball volume of dimension n raised to
-    1 / [ln(n^2/4 + 1) - ln(n/2 + 1)].
-
-    Implemented literally as ball_volume_root(n/2); the exponent above
-    is what that substitution produces.  Needs n >= 3 so the exponent
-    denominator is positive.
-    """
-    n = _check_dimension(n, 3, "omega_sequence_term")
-    return ball_volume_root(Fraction(n, 2))
 
 
 SEQUENCE_MODES = ("unit", "inv_n", "inv_nlnn", "paper")

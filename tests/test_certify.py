@@ -192,6 +192,18 @@ def test_grid_certificate_snaps_near_integer_points():
     assert all(abs(p - 1.0) > 1e-9 or p == 1.0 for p in cert.grid)
 
 
+@pytest.mark.parametrize("a, b, step", [
+    (0.0, 0.01, 1e-7),       # ten raw points within the guard radius of 0
+    (0.999, 1.001, 1e-7),    # nineteen within the guard radius of 1
+])
+def test_snapped_grid_is_strictly_increasing(a, b, step):
+    grid = certify._build_grid(a, b, step)
+    assert all(u < v for u, v in zip(grid, grid[1:]))
+    target = 0.0 if a == 0.0 else 1.0
+    assert grid.count(target) == 1
+    assert all(abs(p - target) > 2.0 ** -20 for p in grid if p != target)
+
+
 @pytest.mark.parametrize("mid_value, status", [
     (Enclosure(-5.0, -4.0), FAIL),        # below both ends: refuted
     (Enclosure(1.5, 1.75), INCONCLUSIVE),  # inside the overlap: undecided
@@ -211,6 +223,10 @@ def test_grid_certificate_validation():
         grid_monotone_certificate("no_such_function", 0.0, 1.0, 0.1, "increasing")
     with pytest.raises(DomainError):
         grid_monotone_certificate("gamma_log_ratio", 0.0, 1.0, 0.1, "sideways")
+    # one point, or points that all snap onto 0: nothing to separate
+    for a, b, step in ((0.0, 1.0, 2.0), (0.0, 5e-7, 1e-7)):
+        with pytest.raises(DomainError):
+            grid_monotone_certificate("gamma_log_ratio", a, b, step, "decreasing")
 
 
 def test_grid_certificate_soundness_resample():

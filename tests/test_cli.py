@@ -162,6 +162,17 @@ def test_verify_refuses_oversized_grid(capsys):
     assert "points" in capsys.readouterr().err
 
 
+def test_verify_grid_midpoint_in_guard_zone_is_inconclusive(capsys):
+    # the pair (0, 1e-6) overlaps; its midpoint 5e-7 lies in F's guard
+    # zone and snaps onto 0 instead of raising
+    rc = main(["verify", "theorem1", "--grid-to", "0.001",
+               "--grid-step", "0.000001", "--format", "json"])
+    assert rc == 3
+    grid_step = json.loads(capsys.readouterr().out)["steps"][-1]
+    assert grid_step["status"] == "inconclusive"
+    assert grid_step["description"].endswith("offending pair (0.0, 1e-06)")
+
+
 def test_verify_n_max_flag(capsys):
     assert main(["verify", "theorem2", "--n-max", "40"]) == 0
     obj_text = capsys.readouterr().out
@@ -235,8 +246,11 @@ def test_sequence_json_rows(capsys):
 
 def test_sequence_other_modes(capsys):
     assert main(["sequence", "2", "6", "inv_nlnn"]) == 0
-    assert main(["sequence", "1", "5", "unit"]) == 0
     capsys.readouterr()
+    # the unit-ball volume grows up to dimension 5
+    assert main(["sequence", "1", "5", "unit", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["diff"] for row in rows] == [None, "+", "+", "+", "+"]
 
 
 def test_sequence_range_validation(capsys):

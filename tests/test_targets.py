@@ -39,8 +39,6 @@ from monocert.targets import (
     log_omega_sequence_term,
     log_unit_ball_volume,
     log_volume_sequence_value,
-    omega_sequence_term,
-    unit_ball_volume,
     volume_sequence_value,
 )
 
@@ -365,6 +363,9 @@ def _oracle_log_omega(n) -> Fraction:
 
 
 def test_unit_ball_volume_small_dimensions():
+    def unit_ball_volume(n):
+        return volume_sequence_value(n, "unit")
+
     assert unit_ball_volume(1).contains(Fraction(2)) or (
         unit_ball_volume(1).lo < 2 < unit_ball_volume(1).hi
     )
@@ -376,7 +377,7 @@ def test_unit_ball_volume_small_dimensions():
 
 def test_omega_term_equals_decreasing_target_at_half_dimension():
     for n in range(3, 41):
-        term = omega_sequence_term(n)
+        term = volume_sequence_value(n, "paper")
         direct = ball_volume_root(n / 2)
         assert term.lo == direct.lo and term.hi == direct.hi, n
 
@@ -401,8 +402,9 @@ def test_sequence_modes_against_oracle():
     assert _contains(t, _fr(mpmath.pi ** (1 / (2 * mpmath.log(2)))),
                      Fraction(1, 10**10))
     p = volume_sequence_value(4, "paper")
-    q = omega_sequence_term(4)
-    assert p.lo == q.lo and p.hi == q.hi
+    # n = 4 is x = 2: (pi^2 / Gamma(3)) ^ (1 / ln(5/3))
+    assert _contains(p, _fr((mpmath.pi ** 2 / 2) ** (1 / mpmath.log(mpmath.mpf(5) / 3))),
+                     Fraction(1, 10**10))
 
 
 def test_sequence_mode_domain_errors():
@@ -413,13 +415,13 @@ def test_sequence_mode_domain_errors():
     with pytest.raises(DomainError):
         log_volume_sequence_value(3, "median")
     with pytest.raises(DomainError):
-        unit_ball_volume(0)
+        volume_sequence_value(0, "unit")
     with pytest.raises(DomainError):
-        omega_sequence_term(2)
+        volume_sequence_value(2, "paper")
     with pytest.raises(DomainError):
-        unit_ball_volume(True)
+        volume_sequence_value(True, "unit")
     with pytest.raises(DomainError):
-        unit_ball_volume(2.0)
+        volume_sequence_value(2.0, "unit")
 
 
 def test_far_tail_values():
