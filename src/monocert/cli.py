@@ -112,23 +112,28 @@ def _cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-_THEOREMS = ("lemma2", "theorem1", "theorem2", "remark1")
+_GRID_FLAGS = ("grid_from", "grid_to", "grid_step")
+# the verify flags each suite takes; giving it any other is a usage error
+_SUITE_FLAGS = {"lemma2": (), "theorem1": _GRID_FLAGS,
+                "theorem2": ("n_max", *_GRID_FLAGS), "remark1": ("n_max",)}
 
 
-def _run_verifier(theorem: str, n_max: int, grid: tuple):
-    # a None grid entry (flag not given) takes the theorem's default
+def _run_verifier(theorem: str, n_max, grid: tuple):
+    # a None n_max or grid entry (flag not given) takes the suite's default
+    sizes = {} if n_max is None else {"n_max": n_max}
     if theorem == "lemma2":
         return certify.verify_lemma2()
     if theorem == "theorem1":
         return certify.verify_theorem1(grid=grid)
     if theorem == "theorem2":
-        return certify.verify_theorem2(n_max=n_max, grid=grid)
-    if theorem == "remark1":
-        return certify.verify_remark1(n_max=n_max)
-    raise DomainError(f"unknown theorem {theorem!r}")
+        return certify.verify_theorem2(**sizes, grid=grid)
+    return certify.verify_remark1(**sizes)
 
 
 def _cmd_verify(args) -> int:
+    for flag in ("n_max", *_GRID_FLAGS):
+        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.theorem]:
+            return _fail_usage(f"verify {args.theorem} takes no --{flag.replace('_', '-')}")
     try:
         report = _run_verifier(
             args.theorem, args.n_max, (args.grid_from, args.grid_to, args.grid_step)
@@ -199,7 +204,7 @@ def _cmd_report_all(args) -> int:
     except OSError as exc:
         return _fail_usage(f"destination not writable: {exc}")
     reports = {name: _run_verifier(name, args.n_max, (None, None, None))
-               for name in _THEOREMS}
+               for name in _SUITE_FLAGS}
     try:
         for name, report in reports.items():
             (out_dir / f"{name}.json").write_text(certify.report_to_json_text(report))
@@ -242,11 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="replay one verification suite")
-    p_verify.add_argument("theorem", choices=_THEOREMS)
-    p_verify.add_argument("--n-max", type=int, default=200,
-                          help="sequence upper bound (default 200)")
+    p_verify.add_argument("theorem", choices=tuple(_SUITE_FLAGS))
+    p_verify.add_argument("--n-max", type=int, default=None,
+                          help="sequence upper bound, theorem2 and remark1 (default 200)")
     p_verify.add_argument("--grid-from", type=float, default=None,
-                          help="grid start (default per theorem)")
+                          help="grid start, theorem1 and theorem2 (default per theorem)")
     p_verify.add_argument("--grid-to", type=float, default=None,
                           help="grid end (default 50)")
     p_verify.add_argument("--grid-step", type=float, default=None,

@@ -101,10 +101,11 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _sturm_chain(q: list[int]) -> list[list[int]]:
-    """Sturm chain of q of degree >= 1, each member a positive multiple
-    of the classical q, q', -rem(...) member; it stops at a multiple of
-    gcd(q, q') when the next remainder vanishes."""
+def _sturm_chain(coeffs: tuple) -> list[list[int]]:
+    """Sturm chain of the degree >= 1 polynomial q with these rational
+    coefficients: positive integer multiples of the classical q, q',
+    -rem(...) members, ending at a multiple of gcd(q, q')."""
+    q = _primitive(_cleared(coeffs)[0])
     chain = [q, _primitive(_int_derivative(q))]
     while len(chain[-1]) > 1:
         r = _prem(chain[-2], chain[-1])
@@ -112,6 +113,13 @@ def _sturm_chain(q: list[int]) -> list[list[int]]:
             break
         chain.append([-c for c in _primitive(r)])
     return chain
+
+
+def _variations(chain: list[list[int]], n: int, d: int) -> int:
+    """Sign variations of the chain at n/d, zeros skipped; (n, d) = (1, 0)
+    is +infinity, where each member's homogeneous value is its lead."""
+    signs = [v > 0 for v in (_homogeneous(s, n, d) for s in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _poly(v) -> "RationalPolynomial":
@@ -230,13 +238,6 @@ class RationalPolynomial:
         signs = [1 if c > 0 else -1 for c in self.coeffs if c != 0]
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
-    def cauchy_root_bound(self) -> Fraction:
-        """1 + max |c_i / c_deg|: every real root r has |r| < B."""
-        if self.is_zero:
-            raise ValueError("root bound of the zero polynomial")
-        ints, _ = _cleared(self.coeffs)
-        return 1 + Fraction(max(map(abs, ints[:-1]), default=0), abs(ints[-1]))
-
     def sturm_root_count(self, a, b) -> int:
         """Exact number of distinct real roots in the open interval (a, b).
 
@@ -249,17 +250,12 @@ class RationalPolynomial:
             raise ValueError("root count of the zero polynomial")
         if self.degree <= 0:
             return 0
-        chain = _sturm_chain(_primitive(_cleared(self.coeffs)[0]))
-
-        def variations(t: Fraction) -> int:
-            n, d = t.numerator, t.denominator
-            values = [_homogeneous(s, n, d) for s in chain]
-            if not values[0]:
+        chain = _sturm_chain(self.coeffs)
+        for t in (aq, bq):
+            if not _homogeneous(chain[0], t.numerator, t.denominator):
                 raise ValueError(f"interval end {t} is a root")
-            signs = [v > 0 for v in values if v]
-            return sum(s != t2 for s, t2 in zip(signs, signs[1:]))
-
-        return variations(aq) - variations(bq)
+        return (_variations(chain, aq.numerator, aq.denominator)
+                - _variations(chain, bq.numerator, bq.denominator))
 
 
 @dataclass(frozen=True)
@@ -276,9 +272,8 @@ def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
 
     1. Shifted-coefficient test: every coefficient of p(x + a)
        nonnegative with positive constant term.
-    2. Sturm: zero distinct roots in the open interval (a, B) for the
-       Cauchy bound B, together with p(a) > 0.  Neither end is a root:
-       p(a) > 0, and every real root r has |r| < B strictly.
+    2. Sturm: p(a) > 0 and the chain of p has as many sign variations
+       at a as at +infinity, so p has no root in (a, +infinity).
 
     The first stage that succeeds names the certificate's method.
 
@@ -296,7 +291,7 @@ def certify_positive_on_ray(p: RationalPolynomial, a) -> PositivityCertificate:
         return PositivityCertificate(VERDICT_NOT_CERTIFIED, None)
     if all(c >= 0 for c in p.taylor_shift(aq).coeffs):
         return PositivityCertificate(VERDICT_POSITIVE, METHOD_SHIFTED_COEFFS)
-    bound = p.cauchy_root_bound()
-    if bound <= aq or p.sturm_root_count(aq, bound) == 0:
+    chain = _sturm_chain(p.coeffs)
+    if _variations(chain, aq.numerator, aq.denominator) == _variations(chain, 1, 0):
         return PositivityCertificate(VERDICT_POSITIVE, METHOD_STURM)
     return PositivityCertificate(VERDICT_NOT_CERTIFIED, None)

@@ -49,8 +49,6 @@ __all__ = [
     "fg_ratio_core_rate",
     "fg_ratio_core_rate_lower_bound",
     "ball_root_slope_chain",
-    "chain_rate_bound_with_log",
-    "chain_rate_bound_rational",
 ]
 
 # Radius of the refuse-to-evaluate zone around the two removable
@@ -425,25 +423,3 @@ def ball_root_slope_chain(which: str, x) -> Enclosure:
         return _chain_h1(xq)
     return chain_interval_poly(which).eval(_enc(xq))
 
-
-def chain_rate_bound_with_log(x) -> Enclosure:
-    """Lower bound on the second chain member's derivative obtained by
-    substituting the two-sided psi bounds; still carries a ln(x+1):
-
-        [MIDDLE(x) + 4 p5(x) ln(x+1)] / (x+1)^2
-    """
-    xq = _require_at_least_one(x, "chain_rate_bound_with_log")
-    middle = _MIDDLE.eval(_enc(xq))
-    logpart = _enc(4 * _P5.eval_at(xq)) * _enc(xq + 1).log()
-    return (middle + logpart) / _enc((xq + 1) ** 2)
-
-
-def chain_rate_bound_rational(x) -> Enclosure:
-    """The same bound after the logarithm inequality is applied; fully
-    rational apart from the ln-pi coefficients:
-
-        -h2(x) / ((x+1)^2 (x+2))
-    """
-    xq = _require_at_least_one(x, "chain_rate_bound_rational")
-    h2 = chain_interval_poly("h2").eval(_enc(xq))
-    return -h2 / _enc((xq + 1) ** 2 * (xq + 2))

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +64,22 @@ def test_decreasing_theorem_driver_green():
     assert r.overall == PASS
     assert len(r.steps) == 9
     assert _ids(r) == sorted(_ids(r))
+
+
+def test_log_inequality_slack_at_one():
+    # with-log chain-rate bound minus rational one at 1, 40 digits:
+    # (60 - 32 ln pi + 32 ln 2)/4 - (244 - 96 ln pi)/12 = 8 (ln 2 - 2/3)
+    with mpmath.workdps(40):
+        exact = Fraction(mpmath.nstr(8 * (mpmath.log(2) - mpmath.mpf(2) / 3), 30))
+    slack = certify._log_inequality_slack(1.0)
+    tol = Fraction(1, 10**20)
+    assert Fraction(slack.lo) - tol <= exact <= Fraction(slack.hi) + tol
+    assert slack.width < 1e-14
+
+
+def test_log_inequality_slack_positive_along_ray():
+    for t in (1.0, 1.5, 3.0, 10.0, 20.0):
+        assert certify._log_inequality_slack(t).strictly_positive, t
 
 
 def test_tail_trend_driver_green():
@@ -197,7 +214,7 @@ def test_grid_certificate_snaps_near_integer_points():
     (0.999, 1.001, 1e-7),    # nineteen within the guard radius of 1
 ])
 def test_snapped_grid_is_strictly_increasing(a, b, step):
-    grid = certify._build_grid(a, b, step)
+    grid = certify._build_grid(a, b, step, certify._SNAP_POINTS["gamma_log_ratio"])
     assert all(u < v for u, v in zip(grid, grid[1:]))
     target = 0.0 if a == 0.0 else 1.0
     assert grid.count(target) == 1

@@ -173,6 +173,30 @@ def test_verify_grid_midpoint_in_guard_zone_is_inconclusive(capsys):
     assert grid_step["description"].endswith("offending pair (0.0, 1e-06)")
 
 
+def test_verify_theorem2_grid_does_not_snap_onto_g_edge(capsys):
+    # 1.0000005 lies within the guard radius of 1, which is G's edge, not
+    # a removable singularity: the point stays and is refused as given
+    rc = main(["verify", "theorem2", "--grid-from", "1.0000005",
+               "--grid-to", "2", "--grid-step", "0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "x=1.0000005" in err and "singular edge" in err
+
+
+@pytest.mark.parametrize("argv, rc, refused", [
+    (["lemma2", "--n-max", "3", "--grid-step", "7"], 2, "--n-max"),
+    (["theorem1", "--n-max", "3"], 2, "--n-max"),
+    (["theorem2", "--n-max", "10", "--grid-from", "2", "--grid-to", "3",
+      "--grid-step", "0.5"], 0, None),
+    (["remark1", "--grid-from", "5"], 2, "--grid-from"),
+])
+def test_verify_refuses_flags_the_suite_does_not_take(capsys, argv, rc, refused):
+    assert main(["verify", *argv]) == rc
+    err = capsys.readouterr().err
+    if refused is not None:
+        assert err == f"error: verify {argv[0]} takes no {refused}\n"
+
+
 def test_verify_n_max_flag(capsys):
     assert main(["verify", "theorem2", "--n-max", "40"]) == 0
     obj_text = capsys.readouterr().out

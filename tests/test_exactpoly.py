@@ -121,14 +121,6 @@ def test_descartes_skips_zero_coefficients():
         RationalPolynomial([]).descartes_sign_changes()
 
 
-def test_cauchy_bound_dominates_roots():
-    # roots 1 and 3; bound must exceed both
-    p = RationalPolynomial([3, -4, 1])
-    b = p.cauchy_root_bound()
-    assert b > 3
-    assert p.sturm_root_count(-b, b) == 2
-
-
 @st.composite
 def root_built_polys(draw):
     """Product of distinct rational linear factors with known roots."""
@@ -166,8 +158,8 @@ def test_descartes_and_sturm_against_known_roots(built):
     changes = p.descartes_sign_changes()
     assert changes >= len(positive)
     assert (changes - len(positive)) % 2 == 0
-    # the bound itself: every root lies strictly inside (-b, b)
-    b = p.cauchy_root_bound()
+    # every root lies strictly inside (-b, b)
+    b = 1 + max(abs(r) for r in roots)
     if 0 not in roots:
         assert p.sturm_root_count(0, b) == len(positive)
     assert p.sturm_root_count(-b, b) == len(roots)
@@ -321,6 +313,26 @@ def test_certificate_sturm_method():
     cert = certify_positive_on_ray(p, Fraction(0))
     assert cert.verdict == VERDICT_POSITIVE
     assert cert.method == METHOD_STURM
+
+
+@pytest.mark.parametrize("p, a", [
+    # (x+1)((x-3)^2+1): real root -1, complex roots 3 +- i
+    (RationalPolynomial([1, 1]) * RationalPolynomial([10, -6, 1]), 1),
+    (RationalPolynomial([1, 1]) * RationalPolynomial([10, -6, 1])
+     * RationalPolynomial([5, 4, 1]), 1),
+    # ((x-5)^2+1)(x^2+1): no real roots at all
+    (RationalPolynomial([26, -10, 1]) * RationalPolynomial([1, 0, 1]), 0),
+])
+def test_certificate_sturm_when_real_roots_lie_below_start(p, a):
+    """Every real root lies below a, but complex roots right of a leave
+    a negative shifted coefficient, so only the Sturm stage can decide.
+    The chain has sign variations at +infinity, so comparing those at a
+    with zero instead would refuse these."""
+    assert min(p.taylor_shift(a).coeffs) < 0
+    cert = certify_positive_on_ray(p, a)
+    assert cert.verdict == VERDICT_POSITIVE
+    assert cert.method == METHOD_STURM
+    assert p.sturm_root_count(a, 10 ** 6) == 0
 
 
 def test_certificate_refuses_polynomial_negative_at_start():

@@ -28,8 +28,6 @@ from monocert.targets import (
     ball_root_slope_chain,
     ball_volume_root,
     chain_interval_poly,
-    chain_rate_bound_rational,
-    chain_rate_bound_with_log,
     fg_ratio,
     fg_ratio_core,
     fg_ratio_core_rate,
@@ -224,6 +222,12 @@ def test_lemma_polynomials_endpoint_table():
     assert LEMMA_POLYS["p1"] == LEMMA_POLYS["p2"]
 
 
+def test_p5_is_p1_times_square():
+    # theorem2/07 relies on this to cancel (x+1)^2 from its quantity
+    x1 = RationalPolynomial([1, 1])
+    assert LEMMA_POLYS["p5"] == x1 * x1 * LEMMA_POLYS["p1"]
+
+
 # -- sign chain -----------------------------------------------------
 
 def _log_pi():
@@ -339,20 +343,6 @@ def test_chain_finite_differences():
             curvature = max(abs(straddle.lo), abs(straddle.hi))
             tol = fd.width + d.width + (h * h / 6) * curvature + 1e-7
             assert abs(fd.mid - d.mid) < tol, (low, x)
-
-
-def test_rate_bound_pair_at_one():
-    lg = _log_pi()
-    with_log = (60 - 32 * lg + 32 * mpmath.log(2)) / 4
-    rational = (244 - 96 * lg) / 12
-    assert _contains(chain_rate_bound_with_log(1.0), _fr(with_log))
-    assert _contains(chain_rate_bound_rational(1.0), _fr(rational))
-    assert chain_rate_bound_with_log(1.0).lo > chain_rate_bound_rational(1.0).hi
-
-
-def test_rate_bound_ordering_holds_along_ray():
-    for x in (1.0, 1.5, 3.0, 10.0, 20.0):
-        assert chain_rate_bound_with_log(x).lo > chain_rate_bound_rational(x).hi, x
 
 
 # -- ball volumes and the dimension sequence ------------------------
