@@ -301,16 +301,14 @@ def _grid_step(step_id: str, cert: GridCertificate, claim: str) -> ProofStep:
 _P6_EXPECTED_SIGNS = "-+++"  # ascending degree
 
 
-def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
+def verify_lemma2() -> VerificationReport:
     """Replay the positivity lemma: five exact cubic-to-quintic
     polynomials and one log-pi cubic, all positive on [1, oo),
     with every printed endpoint value reproduced."""
-    polys = {**LEMMA_POLYS, "p6": LOG_PI_POLYS["p6"], **(polys or {})}
-    anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
+    dup = LEMMA_POLYS["p2"].coeffs == LEMMA_POLYS["p1"].coeffs
     steps = []
 
-    for i, name in enumerate(("p1", "p2", "p3", "p4", "p5")):
-        p = polys[name]
+    for i, (name, p) in enumerate(LEMMA_POLYS.items()):
         changes = p.descartes_sign_changes()
         cert = certify_positive_on_ray(p, Fraction(1))
         ok = changes == 1 and cert.verdict == "positive"
@@ -318,7 +316,7 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
             f"{name} has exactly one coefficient sign change ({changes}) and a "
             f"positivity certificate on [1, oo) (method {cert.method or 'none'})"
         )
-        if name == "p2" and p.coeffs == polys["p1"].coeffs:
+        if name == "p2" and dup:
             desc += " [as printed, p2 duplicates p1]"
         steps.append(_check_step(
             f"lemma2/{3 * i + 1:02d}-{name}-positive", desc, ok,
@@ -333,7 +331,7 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
             p.eval_at(Fraction(1)), Fraction(LEMMA_VALUE_AT_ONE[name]),
         ))
 
-    p6 = polys["p6"]
+    p6 = LOG_PI_POLYS["p6"]
     signs = "".join(_sign_mark(c) for c in p6.coeffs)
     p6_cert = p6.certify_positive(Fraction(1))
     steps.append(_check_step(
@@ -346,20 +344,18 @@ def verify_lemma2(polys=None, anchors=None) -> VerificationReport:
     ))
     steps.append(_anchor_step(
         "lemma2/17-p6-at-0", "p6 evaluated at 0",
-        p6.eval(Enclosure.point(0.0)), anchors["p6_at_0"],
+        p6.eval(Enclosure.point(0.0)), ANCHORS["p6_at_0"],
     ))
     steps.append(_anchor_step(
         "lemma2/18-p6-at-1", "p6 evaluated at 1",
-        p6.eval(Enclosure.point(1.0)), anchors["p6_at_1"],
+        p6.eval(Enclosure.point(1.0)), ANCHORS["p6_at_1"],
     ))
-
-    dup = polys["p2"].coeffs == polys["p1"].coeffs
     steps.append(_check_step(
         "lemma2/19-p2-duplication-notice",
         "as printed, p2 is the identical polynomial to p1; certified as "
         "printed with no repair attempted"
         if dup else
-        "p2 differs from p1 in this run (injected polynomials)",
+        "p2 differs from p1 in this run (patched lemma table)",
         True, None,
     ))
     return VerificationReport.from_steps("lemma2", steps)
@@ -384,18 +380,17 @@ def _half_grid(stop: int = 50) -> list:
     return [Fraction(k, 2) for k in range(2, 2 * stop + 1)]
 
 
-def verify_theorem1(anchors=None, grid=(None, None, None)) -> VerificationReport:
+def verify_theorem1(grid=(None, None, None)) -> VerificationReport:
     """Replay the increasing-function proof: the quotient-derivative
     core is positive (anchored at 1, bounded below by a certified
     rational function), the slope ratio increases, and the target
     function increases on the desk-scale grid."""
-    anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
     grid = _grid_window(grid, _THEOREM1_GRID)
     steps = []
 
     steps.append(_anchor_step(
         "theorem1/01-core-at-1", "fg_ratio_core evaluated at 1",
-        fg_ratio_core(1), anchors["q_at_1"],
+        fg_ratio_core(1), ANCHORS["q_at_1"],
     ))
 
     shifted = RATE_NUMERATOR.taylor_shift(Fraction(1))
@@ -466,6 +461,15 @@ def _check_n_max(n_max, minimum: int, who: str) -> None:
         raise DomainError(f"{who} refuses n_max = {n_max} > {_MAX_N_MAX}")
 
 
+# chain members anchored at 1 by theorem2/02-06, with their descriptions
+_CHAIN_ANCHORS = (
+    ("h2pp", "second derivative of the polynomial tail at 1"),
+    ("h2p", "first derivative of the polynomial tail at 1"),
+    ("h2", "polynomial tail of the sign chain at 1"),
+    ("h1", "second member of the sign chain at 1"),
+    ("h", "first member of the sign chain at 1"),
+)
+
 _CHAIN_SAMPLE_SEED = 727
 _CHAIN_SAMPLE_COUNT = 50
 
@@ -478,14 +482,12 @@ def _log_inequality_slack(t) -> Enclosure:
     return Enclosure.from_rational(4 * LEMMA_POLYS["p1"].eval_at(tq)) * log_gap
 
 
-def verify_theorem2(n_max: int = 200, anchors=None,
-                    grid=(None, None, None)) -> VerificationReport:
+def verify_theorem2(n_max: int = 200, grid=(None, None, None)) -> VerificationReport:
     """Replay the decreasing-function proof: the auxiliary sign chain is
     pinned at 1 and its polynomial tail certified negative, the bound
     chain is consistent at sampled points, and both the continuous
     target and the dimension sequence decrease."""
     _check_n_max(n_max, 4, "verify_theorem2")
-    anchors = dict(ANCHORS) if anchors is None else {**ANCHORS, **anchors}
     grid = _grid_window(grid, _THEOREM2_GRID)
     steps = []
 
@@ -498,26 +500,11 @@ def verify_theorem2(n_max: int = 200, anchors=None,
         cert.verdict == "positive", "verdict positive for the negation",
     ))
 
-    steps.append(_anchor_step(
-        "theorem2/02-h2pp-at-1", "second derivative of the polynomial tail at 1",
-        ball_root_slope_chain("h2pp", 1), anchors["h2pp_at_1"],
-    ))
-    steps.append(_anchor_step(
-        "theorem2/03-h2p-at-1", "first derivative of the polynomial tail at 1",
-        ball_root_slope_chain("h2p", 1), anchors["h2p_at_1"],
-    ))
-    steps.append(_anchor_step(
-        "theorem2/04-h2-at-1", "polynomial tail of the sign chain at 1",
-        ball_root_slope_chain("h2", 1), anchors["h2_at_1"],
-    ))
-    steps.append(_anchor_step(
-        "theorem2/05-h1-at-1", "second member of the sign chain at 1",
-        ball_root_slope_chain("h1", 1), anchors["h1_at_1"],
-    ))
-    steps.append(_anchor_step(
-        "theorem2/06-h-at-1", "first member of the sign chain at 1",
-        ball_root_slope_chain("h", 1), anchors["h_at_1"],
-    ))
+    steps.extend(
+        _anchor_step(f"theorem2/{i:02d}-{member}-at-1", description,
+                     ball_root_slope_chain(member, 1), ANCHORS[f"{member}_at_1"])
+        for i, (member, description) in enumerate(_CHAIN_ANCHORS, start=2)
+    )
 
     rng = random.Random(_CHAIN_SAMPLE_SEED)
     samples = sorted(1.0 + 19.0 * rng.random() for _ in range(_CHAIN_SAMPLE_COUNT))
@@ -674,8 +661,14 @@ def report_to_json_obj(report: VerificationReport) -> dict:
     }
 
 
+def _canonical_json(obj) -> str:
+    """The one canonical JSON text of every report and of the CLI's
+    JSON output: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def report_to_json_text(report: VerificationReport) -> str:
-    return json.dumps(report_to_json_obj(report), sort_keys=True, indent=2) + "\n"
+    return _canonical_json(report_to_json_obj(report))
 
 
 def report_to_text(report: VerificationReport) -> str:

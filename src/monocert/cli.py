@@ -1,13 +1,13 @@
 """Command-line front end: evaluate, verify, tabulate, batch-report.
 
 Exit codes are part of the interface and stable: 0 pass, 1 fail,
-2 usage or domain error, 3 inconclusive.
+2 usage or domain error or an --out destination that cannot be
+written, 3 inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -52,10 +52,6 @@ _EVAL_TARGETS = {
 _MAX_SEQUENCE_ROWS = 10 ** 6
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -87,14 +83,12 @@ def _cmd_eval(args) -> int:
     except GuardZoneError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except DomainError as exc:
-        return _fail_usage(str(exc))
     except OverflowError as exc:
         return _fail_usage(
             f"value exceeds binary64 range ({exc}); no finite enclosure exists"
         )
     if args.format == "json":
-        _emit(_canonical_json({
+        _emit(certify._canonical_json({
             "target": args.target,
             "argument": arg,
             "lo": enc.lo,
@@ -134,12 +128,9 @@ def _cmd_verify(args) -> int:
     for flag in ("n_max", *_GRID_FLAGS):
         if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.theorem]:
             return _fail_usage(f"verify {args.theorem} takes no --{flag.replace('_', '-')}")
-    try:
-        report = _run_verifier(
-            args.theorem, args.n_max, (args.grid_from, args.grid_to, args.grid_step)
-        )
-    except DomainError as exc:
-        return _fail_usage(str(exc))
+    report = _run_verifier(
+        args.theorem, args.n_max, (args.grid_from, args.grid_to, args.grid_step)
+    )
     if args.format == "json":
         _emit(certify.report_to_json_text(report), args.out)
     else:
@@ -171,7 +162,7 @@ def _cmd_sequence(args) -> int:
         rows.append((n, enc, sign))
         prev = enc
     if args.format == "json":
-        _emit(_canonical_json({
+        _emit(certify._canonical_json({
             "exponent": mode,
             "n_from": args.n_from,
             "n_to": args.n_to,
@@ -196,27 +187,22 @@ def _cmd_report_all(args) -> int:
     # n_max after another has run
     certify._check_n_max(args.n_max, 10, "report-all")
     out_dir = Path(args.out if args.out is not None else "reports")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".writable"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        return _fail_usage(f"destination not writable: {exc}")
+    # probe the destination before any suite runs
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".writable"
+    probe.write_text("")
+    probe.unlink()
     reports = {name: _run_verifier(name, args.n_max, (None, None, None))
                for name in _SUITE_FLAGS}
-    try:
-        for name, report in reports.items():
-            (out_dir / f"{name}.json").write_text(certify.report_to_json_text(report))
-        overall = certify.meet_status(r.overall for r in reports.values())
-        summary = {
-            "overall": overall,
-            "exit_code": _STATUS_EXIT[overall],
-            "theorems": {name: r.overall for name, r in reports.items()},
-        }
-        (out_dir / "summary.json").write_text(_canonical_json(summary))
-    except OSError as exc:
-        return _fail_usage(f"could not write report: {exc}")
+    for name, report in reports.items():
+        (out_dir / f"{name}.json").write_text(certify.report_to_json_text(report))
+    overall = certify.meet_status(r.overall for r in reports.values())
+    summary = {
+        "overall": overall,
+        "exit_code": _STATUS_EXIT[overall],
+        "theorems": {name: r.overall for name, r in reports.items()},
+    }
+    (out_dir / "summary.json").write_text(certify._canonical_json(summary))
     for name, report in reports.items():
         print(f"{name}: {report.overall} -> {out_dir / name}.json")
     print(f"summary: {summary['overall']} -> {out_dir / 'summary.json'}")
@@ -284,6 +270,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         return _fail_usage(str(exc))
+    except OSError as exc:
+        return _fail_usage(f"destination not writable: {exc}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ __all__ = [
     "Enclosure",
     "TrustedConstant",
     "CONSTANTS",
-    "PI",
     "LN_PI",
     "EULER_GAMMA",
 ]
@@ -288,16 +287,14 @@ def _trusted(name: str, literal: str) -> TrustedConstant:
     return TrustedConstant(name, literal, enc)
 
 
-_PI = _trusted("pi", "3.1415926535897932384626433832795028841971693993751")
 _LN_PI = _trusted("ln_pi", "1.1447298858494001741434273513530587116472948129153")
 _EULER_GAMMA = _trusted(
     "euler_gamma", "0.57721566490153286060651209008240243104215933593992"
 )
 
 CONSTANTS: dict[str, TrustedConstant] = {
-    c.name: c for c in (_PI, _LN_PI, _EULER_GAMMA)
+    c.name: c for c in (_LN_PI, _EULER_GAMMA)
 }
 
-PI = _PI.value
 LN_PI = _LN_PI.value
 EULER_GAMMA = _EULER_GAMMA.value

@@ -34,8 +34,6 @@ __all__ = [
     "RATE_NUMERATOR",
     "LogPiPolynomial",
     "LOG_PI_POLYS",
-    "CHAIN_TOKENS",
-    "chain_interval_poly",
     "gamma_log_ratio",
     "log_ball_volume_root",
     "ball_volume_root",
@@ -143,33 +141,22 @@ class LogPiPolynomial:
 
 _X = RationalPolynomial((0, 1))
 
-# rational-plus-log bound on the slope chain's second member, before the
-# logarithm inequality is applied: (MIDDLE + 4*p5*ln(x+1)) / (x+1)^2
-_MIDDLE = LogPiPolynomial(
-    RationalPolynomial((-2, 11, 0, 18, 26, 7)),
-    -4 * (_X + 1) * (_X + 1) * _P1,
-)
+# rational part of the bound on the slope chain's second member before
+# the logarithm inequality is applied, which is
+# (MIDDLE - 4 ln(pi) (x+1)^2 p1 + 4 p5 ln(x+1)) / (x+1)^2
+_MIDDLE = RationalPolynomial((-2, 11, 0, 18, 26, 7))
 
 # ln(1+x) >= 2x/(2+x) turns that bound into -h2 / ((x+1)^2 (x+2)); the
 # chain's polynomial tail h2, its first three derivatives, and the
 # lemma's p6 = -h2'''
 LOG_PI_POLYS = {"h2": LogPiPolynomial(
-    -(_MIDDLE.rational * (_X + 2) + 8 * _X * _P5),
-    -(_MIDDLE.log_pi * (_X + 2)),
+    -(_MIDDLE * (_X + 2) + 8 * _X * _P5),
+    4 * (_X + 1) * (_X + 1) * (_X + 2) * _P1,
 )}
 LOG_PI_POLYS["h2p"] = LOG_PI_POLYS["h2"].derivative()
 LOG_PI_POLYS["h2pp"] = LOG_PI_POLYS["h2p"].derivative()
 LOG_PI_POLYS["h2ppp"] = LOG_PI_POLYS["h2pp"].derivative()
 LOG_PI_POLYS["p6"] = -LOG_PI_POLYS["h2ppp"]
-
-CHAIN_TOKENS = ("h", "h1", "h2", "h2p", "h2pp", "h2ppp")
-
-
-def chain_interval_poly(which: str) -> LogPiPolynomial:
-    """A polynomial chain member (h2 and its derivatives) or "p6"."""
-    if which not in LOG_PI_POLYS:
-        raise DomainError(f"no log-pi polynomial named {which!r}")
-    return LOG_PI_POLYS[which]
 
 
 # --- the two continuous targets ---
@@ -410,16 +397,17 @@ def ball_root_slope_chain(which: str, x) -> Enclosure:
     Member "h" has the sign of d/dx log_ball_volume_root (after
     clearing a positive factor); "h1" controls the sign of h's
     derivative the same way; "h2" with its derivatives "h2p", "h2pp",
-    "h2ppp" is the polynomial tail of the chain.  All on x >= 1.
+    "h2ppp" is the polynomial tail of the chain, read from LOG_PI_POLYS.
+    All on x >= 1.
     """
-    if which not in CHAIN_TOKENS:
+    if which not in ("h", "h1") and (which == "p6" or which not in LOG_PI_POLYS):
         raise DomainError(
-            f"unknown chain member {which!r} (expected one of {CHAIN_TOKENS})"
+            f"unknown chain member {which!r} (expected h, h1, h2, h2p, h2pp or h2ppp)"
         )
     xq = _require_at_least_one(x, f"chain member {which!r}")
     if which == "h":
         return _chain_h(xq)
     if which == "h1":
         return _chain_h1(xq)
-    return chain_interval_poly(which).eval(_enc(xq))
+    return LOG_PI_POLYS[which].eval(_enc(xq))
 

@@ -41,9 +41,9 @@ from monocert.specfun import (
 from monocert.targets import (
     LEMMA_POLYS,
     LEMMA_VALUE_AT_ONE,
+    LOG_PI_POLYS,
     RATE_NUMERATOR,
     ball_root_slope_chain,
-    chain_interval_poly,
     fg_ratio,
     fg_ratio_core,
     log_omega_sequence_term,
@@ -77,7 +77,7 @@ def test_acceptance_01_lemma_certificates_and_endpoints():
         for name, p in LEMMA_POLYS.items()
     )
     at_one_table = sorted(LEMMA_VALUE_AT_ONE[n] for n in LEMMA_POLYS) == [2, 2, 8, 8, 12]
-    p6 = chain_interval_poly("p6")
+    p6 = LOG_PI_POLYS["p6"]
     p6_zero = _within(p6.eval(Enclosure.point(0.0)), -113.68, 0.01)
     p6_one = _within(p6.eval(Enclosure.point(1.0)), 5087.39, 0.01)
     driver = verify_lemma2().overall == PASS
@@ -291,20 +291,24 @@ _POLY_MUTANTS = (
 )
 
 
-def test_acceptance_09_mutation_suite():
+def test_acceptance_09_mutation_suite(monkeypatch):
     drivers = {
-        "lemma2": lambda **kw: verify_lemma2(**kw),
-        "theorem1": lambda **kw: verify_theorem1(**kw),
-        "theorem2": lambda **kw: verify_theorem2(n_max=40, **kw),
+        "lemma2": verify_lemma2,
+        "theorem1": verify_theorem1,
+        "theorem2": lambda: verify_theorem2(n_max=40),
     }
     broken = []
     for theorem, key, step_id in _ANCHOR_FLIPS:
-        report = drivers[theorem](anchors={key: -ANCHORS[key]})
+        with monkeypatch.context() as m:
+            m.setitem(ANCHORS, key, -ANCHORS[key])
+            report = drivers[theorem]()
         failed = [s.id for s in report.steps if s.status != PASS]
         if failed != [step_id] or report.overall != FAIL:
             broken.append((key, failed, report.overall))
     for name, coeffs, step_id in _POLY_MUTANTS:
-        report = verify_lemma2(polys={name: RationalPolynomial(coeffs)})
+        with monkeypatch.context() as m:
+            m.setitem(LEMMA_POLYS, name, RationalPolynomial(coeffs))
+            report = verify_lemma2()
         failed = [s.id for s in report.steps if s.status != PASS]
         if failed != [step_id] or report.overall != FAIL:
             broken.append((name, failed, report.overall))

@@ -31,7 +31,13 @@ from monocert.certify import (
 )
 from monocert.enclosure import DomainError, Enclosure
 from monocert.exactpoly import RationalPolynomial
-from monocert.targets import LOG_PI_POLYS, LogPiPolynomial, gamma_log_ratio, log_ball_volume_root
+from monocert.targets import (
+    LEMMA_POLYS,
+    LOG_PI_POLYS,
+    LogPiPolynomial,
+    gamma_log_ratio,
+    log_ball_volume_root,
+)
 
 
 def _ids(report: VerificationReport):
@@ -148,38 +154,39 @@ def test_anchor_step_sign_requirement():
 # -- mutation sensitivity (spot checks; the full matrix runs in the
 #    acceptance suite) ----------------------------------------------
 
-def test_flipped_anchor_fails_exactly_its_step():
-    r = verify_lemma2(anchors={"p6_at_0": -ANCHORS["p6_at_0"]})
+def test_flipped_anchor_fails_exactly_its_step(monkeypatch):
+    monkeypatch.setitem(ANCHORS, "p6_at_0", -ANCHORS["p6_at_0"])
+    r = verify_lemma2()
     assert r.overall == FAIL
     assert _failed_ids(r) == ["lemma2/17-p6-at-0"]
 
 
-def test_quintic_mutant_fails_exactly_the_endpoint_step():
+def test_quintic_mutant_fails_exactly_the_endpoint_step(monkeypatch):
     # x^3 coefficient 2 -> 1: still one sign change, still certifiable,
     # but the printed value at 1 drops from 8 to 7
-    mutant = RationalPolynomial((-1, 1, 2, 1, 3, 1))
-    r = verify_lemma2(polys={"p4": mutant})
+    monkeypatch.setitem(LEMMA_POLYS, "p4", RationalPolynomial((-1, 1, 2, 1, 3, 1)))
+    r = verify_lemma2()
     assert r.overall == FAIL
     assert _failed_ids(r) == ["lemma2/12-p4-at-1"]
 
 
-def test_constant_term_mutant_breaks_sign_change_count():
+def test_constant_term_mutant_breaks_sign_change_count(monkeypatch):
     # -1 -> +1 gives two sign changes, so the positivity step itself
     # must go red
-    mutant = RationalPolynomial((1, -1, 3, 1))
-    r = verify_lemma2(polys={"p1": mutant})
+    monkeypatch.setitem(LEMMA_POLYS, "p1", RationalPolynomial((1, -1, 3, 1)))
+    r = verify_lemma2()
     assert r.overall == FAIL
     assert "lemma2/01-p1-positive" in _failed_ids(r)
 
 
-def test_logpi_mutant_breaks_coefficient_signs():
+def test_logpi_mutant_breaks_coefficient_signs(monkeypatch):
     # replacing the log-pi constant by 2 flips the linear coefficient
     # of the log-pi cubic negative: sign pattern check goes red
     p6 = LOG_PI_POLYS["p6"]
     r, s = p6.rational, p6.log_pi
     assert len(r.coeffs) == len(s.coeffs) == 4
-    mutant = LogPiPolynomial(r + 2 * s, RationalPolynomial())
-    report = verify_lemma2(polys={"p6": mutant})
+    monkeypatch.setitem(LOG_PI_POLYS, "p6", LogPiPolynomial(r + 2 * s, RationalPolynomial()))
+    report = verify_lemma2()
     assert report.overall == FAIL
     assert "lemma2/16-p6-positive" in _failed_ids(report)
 

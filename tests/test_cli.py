@@ -11,7 +11,7 @@ import pytest
 
 from monocert import certify, cli
 from monocert.cli import main
-from monocert.enclosure import PI, DomainError
+from monocert.enclosure import DomainError
 
 
 # -- eval -----------------------------------------------------------
@@ -31,7 +31,7 @@ def test_eval_json_output(capsys):
     assert obj["target"] == "omega"
     assert obj["argument"] == 2
     assert obj["lo"] < math.pi < obj["hi"]
-    assert obj["lo"] <= float(PI.lo) and float(PI.hi) <= obj["hi"]
+    assert mpmath.mpf(obj["lo"]) < mpmath.pi < mpmath.mpf(obj["hi"])
 
 
 def test_eval_all_targets_have_a_value(capsys):
@@ -345,6 +345,21 @@ def test_report_all_unwritable_destination(tmp_path, capsys):
     rc = main(["report-all", "--out", str(blocker / "sub"), "--n-max", "20"])
     assert rc == 2
     assert "not writable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["verify", "lemma2"], "missing/x.txt"),
+    (["eval", "F", "1"], "."),
+    (["sequence", "3", "5", "unit"], "missing/x.txt"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, dest):
+    # a missing directory or a directory as the file: exit 2, not the
+    # "refuted" exit 1 of an uncaught error
+    assert main([*argv, "--out", str(tmp_path / dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: destination not writable: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -16,7 +16,6 @@ from monocert.targets import (
     _CORE_PSI_WEIGHT,
     _CUBIC_NUM,
     _QUAD_DEN,
-    CHAIN_TOKENS,
     GUARD_RADIUS,
     GuardZoneError,
     LEMMA_POLYS,
@@ -27,7 +26,6 @@ from monocert.targets import (
     SEQUENCE_MODES,
     ball_root_slope_chain,
     ball_volume_root,
-    chain_interval_poly,
     fg_ratio,
     fg_ratio_core,
     fg_ratio_core_rate,
@@ -249,9 +247,13 @@ def test_chain_values_at_one():
 
 
 def test_chain_tokens_and_errors():
-    assert set(CHAIN_TOKENS) == {"h", "h1", "h2", "h2p", "h2pp", "h2ppp"}
+    for token in ("h", "h1", "h2", "h2p", "h2pp", "h2ppp"):
+        assert ball_root_slope_chain(token, 1).width < 1e-9, token
     with pytest.raises(DomainError):
         ball_root_slope_chain("h3", 1.0)
+    # p6 shares LOG_PI_POLYS with the tail but is no chain member
+    with pytest.raises(DomainError):
+        ball_root_slope_chain("p6", 1)
     with pytest.raises(DomainError):
         ball_root_slope_chain("h", 0.5)
 
@@ -264,11 +266,20 @@ def test_chain_polynomial_tail_signs():
 
 
 def test_third_derivative_is_negated_quartic_table():
-    a = chain_interval_poly("h2ppp")
-    b = chain_interval_poly("p6")
+    a = LOG_PI_POLYS["h2ppp"]
+    b = LOG_PI_POLYS["p6"]
     assert len(a.coeffs) == len(b.coeffs) == 4
     for ca, cb in zip(a.coeffs, b.coeffs):
         assert ca.lo == -cb.hi and ca.hi == -cb.lo
+
+
+def test_h2_log_pi_part_is_exact():
+    # h2's ln(pi) part is 4 (x+1)^2 (x+2) p1: MIDDLE's -4 (x+1)^2 p1,
+    # times -(x+2)
+    x = RationalPolynomial((0, 1))
+    expected = 4 * (x + 1) * (x + 1) * (x + 2) * LEMMA_POLYS["p1"]
+    assert LOG_PI_POLYS["h2"].log_pi == expected
+    assert expected.coeffs == (-8, -28, -12, 48, 64, 28, 4)
 
 
 def test_log_pi_polys_hold_their_exact_values():
@@ -330,7 +341,7 @@ def test_chain_finite_differences():
     member: the quotient-rule algebra behind the printed derivative
     table, checked numerically with a curvature-aware tolerance."""
     h = 1e-4
-    tail = chain_interval_poly("h2ppp")
+    tail = LOG_PI_POLYS["h2ppp"]
     third = {"h2": tail, "h2p": tail.derivative(),
              "h2pp": tail.derivative().derivative()}
     pairs = [("h2", "h2p"), ("h2p", "h2pp"), ("h2pp", "h2ppp")]
