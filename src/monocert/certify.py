@@ -366,26 +366,16 @@ def verify_lemma2() -> VerificationReport:
 _SHIFT_EXPECTED = (148, 712, 1364, 1272, 611, 144, 13)
 
 
-# default grid windows (start, end, step) of the two grid certificates
-_THEOREM1_GRID = (0.0, 50.0, 0.01)
-_THEOREM2_GRID = (1.0 + 2.0 ** -10, 50.0, 0.01)
-
-
-def _grid_window(grid, default) -> tuple:
-    """grid with each None entry taken from default."""
-    return tuple(d if g is None else g for g, d in zip(grid, default, strict=True))
-
-
 def _half_grid(stop: int = 50) -> list:
     return [Fraction(k, 2) for k in range(2, 2 * stop + 1)]
 
 
-def verify_theorem1(grid=(None, None, None)) -> VerificationReport:
+def verify_theorem1(grid_from: float = 0.0, grid_to: float = 50.0,
+                    grid_step: float = 0.01) -> VerificationReport:
     """Replay the increasing-function proof: the quotient-derivative
     core is positive (anchored at 1, bounded below by a certified
     rational function), the slope ratio increases, and the target
     function increases on the desk-scale grid."""
-    grid = _grid_window(grid, _THEOREM1_GRID)
     steps = []
 
     steps.append(_anchor_step(
@@ -438,7 +428,8 @@ def verify_theorem1(grid=(None, None, None)) -> VerificationReport:
         _strictly_monotone(ratios, "increasing"), _EVERY_PAIR,
     ))
 
-    cert = grid_monotone_certificate("gamma_log_ratio", grid[0], grid[1], grid[2], "increasing")
+    cert = grid_monotone_certificate("gamma_log_ratio", grid_from, grid_to, grid_step,
+                                     "increasing")
     steps.append(_grid_step(
         "theorem1/06-grid-increasing", cert,
         "gamma_log_ratio increases on the desk-scale grid (exact limit values "
@@ -482,13 +473,13 @@ def _log_inequality_slack(t) -> Enclosure:
     return Enclosure.from_rational(4 * LEMMA_POLYS["p1"].eval_at(tq)) * log_gap
 
 
-def verify_theorem2(n_max: int = 200, grid=(None, None, None)) -> VerificationReport:
+def verify_theorem2(n_max: int = 200, grid_from: float = 1.0 + 2.0 ** -10,
+                    grid_to: float = 50.0, grid_step: float = 0.01) -> VerificationReport:
     """Replay the decreasing-function proof: the auxiliary sign chain is
     pinned at 1 and its polynomial tail certified negative, the bound
     chain is consistent at sampled points, and both the continuous
     target and the dimension sequence decrease."""
     _check_n_max(n_max, 4, "verify_theorem2")
-    grid = _grid_window(grid, _THEOREM2_GRID)
     steps = []
 
     cert = LOG_PI_POLYS["p6"].certify_positive(Fraction(1))  # p6 = -h2ppp
@@ -519,7 +510,8 @@ def verify_theorem2(n_max: int = 200, grid=(None, None, None)) -> VerificationRe
         "with-log bound strictly above rational bound at every sample",
     ))
 
-    cert = grid_monotone_certificate("log_ball_volume_root", grid[0], grid[1], grid[2], "decreasing")
+    cert = grid_monotone_certificate("log_ball_volume_root", grid_from, grid_to, grid_step,
+                                     "decreasing")
     steps.append(_grid_step(
         "theorem2/08-grid-decreasing", cert,
         "log of the ball-volume root decreases on the desk-scale grid "
@@ -600,12 +592,11 @@ def _second_difference_signs(xs, vs) -> str:
     return "".join(_sign_mark(right - left) for left, right in pairwise(slopes))
 
 
-def explore_remark2(grid=None, n_max: int = 100) -> dict:
+def explore_remark2(grid=tuple(1.5 + 0.5 * k for k in range(38)),  # 1.5 .. 20.0
+                    n_max: int = 100) -> dict:
     """Second-difference sign survey of the log of the ball-volume root
     and of the log sequence term.  EXPLORATORY: the output is a plain
     dict and never feeds a verification verdict."""
-    if grid is None:
-        grid = [1.5 + 0.5 * k for k in range(38)]  # 1.5 .. 20.0
     grid = [float(x) for x in grid]
     if len(grid) < 3:
         raise DomainError("second differences need at least 3 grid points")

@@ -112,25 +112,19 @@ _SUITE_FLAGS = {"lemma2": (), "theorem1": _GRID_FLAGS,
                 "theorem2": ("n_max", *_GRID_FLAGS), "remark1": ("n_max",)}
 
 
-def _run_verifier(theorem: str, n_max, grid: tuple):
-    # a None n_max or grid entry (flag not given) takes the suite's default
-    sizes = {} if n_max is None else {"n_max": n_max}
-    if theorem == "lemma2":
-        return certify.verify_lemma2()
-    if theorem == "theorem1":
-        return certify.verify_theorem1(grid=grid)
-    if theorem == "theorem2":
-        return certify.verify_theorem2(**sizes, grid=grid)
-    return certify.verify_remark1(**sizes)
+def _run_suite(name: str, args):
+    """certify.verify_<name>, looked up at call time, given those of its
+    flags that args sets; a flag left unset takes the suite's default."""
+    flags = {flag: getattr(args, flag, None) for flag in _SUITE_FLAGS[name]}
+    return getattr(certify, f"verify_{name}")(
+        **{flag: value for flag, value in flags.items() if value is not None})
 
 
 def _cmd_verify(args) -> int:
     for flag in ("n_max", *_GRID_FLAGS):
         if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.theorem]:
             return _fail_usage(f"verify {args.theorem} takes no --{flag.replace('_', '-')}")
-    report = _run_verifier(
-        args.theorem, args.n_max, (args.grid_from, args.grid_to, args.grid_step)
-    )
+    report = _run_suite(args.theorem, args)
     if args.format == "json":
         _emit(certify.report_to_json_text(report), args.out)
     else:
@@ -185,15 +179,15 @@ def _cmd_sequence(args) -> int:
 def _cmd_report_all(args) -> int:
     # remark1's minimum of 10 is the largest, so no suite can refuse
     # n_max after another has run
-    certify._check_n_max(args.n_max, 10, "report-all")
+    if args.n_max is not None:
+        certify._check_n_max(args.n_max, 10, "report-all")
     out_dir = Path(args.out if args.out is not None else "reports")
     # probe the destination before any suite runs
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".writable"
     probe.write_text("")
     probe.unlink()
-    reports = {name: _run_verifier(name, args.n_max, (None, None, None))
-               for name in _SUITE_FLAGS}
+    reports = {name: _run_suite(name, args) for name in _SUITE_FLAGS}
     for name, report in reports.items():
         (out_dir / f"{name}.json").write_text(certify.report_to_json_text(report))
     overall = certify.meet_status(r.overall for r in reports.values())
@@ -254,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("report-all",
                            help="run every verification, write JSON bundle")
-    p_all.add_argument("--n-max", type=int, default=200,
+    p_all.add_argument("--n-max", type=int, default=None,
                        help="sequence upper bound (default 200)")
     p_all.add_argument("--out", default=None, metavar="DIR",
                        help="destination directory (default ./reports)")

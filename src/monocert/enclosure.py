@@ -175,11 +175,12 @@ class Enclosure:
         return _lift(other) / self
 
     def pow_int(self, n: int) -> "Enclosure":
-        """Integer power by repeated multiplication, n >= 0."""
+        """Integer power by repeated multiplication, n >= 0.  It starts
+        from self, not from 1, since 1 * self widens by an ulp."""
         if n < 0:
             raise DomainError("negative exponent; divide explicitly")
-        acc = Enclosure(1.0, 1.0)
-        for _ in range(n):
+        acc = self if n else Enclosure(1.0, 1.0)
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 

@@ -145,11 +145,7 @@ def polygamma(k: int, x) -> Enclosure:
     res = _asymptotic(k, xe + shift if shift else xe)
     numerator = Enclosure.point((-1) ** (k + 1) * math.factorial(k))
     for j in range(shift):
-        # not pow_int: its leading 1 * xj would widen the power by an ulp
-        xj = power = xe + j
-        for _ in range(k):
-            power = power * xj
-        res = res + numerator / power
+        res = res + numerator / (xe + j).pow_int(k + 1)
     return res
 
 

@@ -208,9 +208,10 @@ def test_grid_certificate_refutes_wrong_direction():
 
 
 def test_grid_certificate_snaps_near_integer_points():
-    # 100 * 0.01 accumulates to 1.0000000000000002 in float; the grid
-    # must land exactly on the removable singularity instead
-    cert = grid_monotone_certificate("gamma_log_ratio", 0.0, 2.0, 0.01, "increasing")
+    # 0.1 + 3 * 0.3 is 0.9999999999999999 in float, where F raises
+    # GuardZoneError; the grid must land exactly on the removable
+    # singularity instead
+    cert = grid_monotone_certificate("gamma_log_ratio", 0.1, 2.0, 0.3, "increasing")
     assert cert.status == "certified"
     assert 1.0 in cert.grid
     assert all(abs(p - 1.0) > 1e-9 or p == 1.0 for p in cert.grid)

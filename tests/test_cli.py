@@ -2,6 +2,7 @@
 formats, file emission. Everything goes through cli.main(argv)."""
 
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -195,6 +196,19 @@ def test_verify_refuses_flags_the_suite_does_not_take(capsys, argv, rc, refused)
     err = capsys.readouterr().err
     if refused is not None:
         assert err == f"error: verify {argv[0]} takes no {refused}\n"
+
+
+def test_suite_flags_are_the_verifier_keywords():
+    for name, flags in cli._SUITE_FLAGS.items():
+        verifier = getattr(certify, f"verify_{name}")
+        assert flags == tuple(inspect.signature(verifier).parameters), name
+
+
+def test_verify_flags_match_library_keywords(capsys):
+    argv = ["verify", "theorem1", "--grid-to", "2", "--grid-step", "0.5", "--format", "json"]
+    assert main(argv) == 0
+    report = certify.verify_theorem1(grid_to=2.0, grid_step=0.5)
+    assert capsys.readouterr().out == certify.report_to_json_text(report)
 
 
 def test_verify_n_max_flag(capsys):
