@@ -70,18 +70,7 @@ class Enclosure:
     @classmethod
     def from_rational(cls, q: Fraction) -> "Enclosure":
         """Tightest float enclosure of an exact rational."""
-        n, d = q.numerator, q.denominator
-        # int / int is correctly rounded (it is what float(q) computes)
-        # and raises OverflowError beyond binary64
-        f = n / d
-        fn, fd = f.as_integer_ratio()
-        # sign of f - q, by cross-multiplying over the positive denominators
-        diff = fn * d - n * fd
-        if diff == 0:
-            return cls(f, f)
-        if diff < 0:
-            return cls(f, _up(f))
-        return cls(_down(f), f)
+        return cls(*_rational_bounds(q.numerator, q.denominator))
 
     # -- inspection --------------------------------------------------
 
@@ -143,33 +132,13 @@ class Enclosure:
 
     def __mul__(self, other) -> "Enclosure":
         o = other if type(other) is Enclosure else _lift(other)
-        lo, hi, olo, ohi = self.lo, self.hi, o.lo, o.hi
-        # Sign cases: with o >= 0 the exact extremes of the four
-        # products are known, and rounding is monotone, so these give
-        # the same floats as min/max below (up to the sign of a zero,
-        # which moving outward erases).
-        if olo >= 0.0:
-            if lo >= 0.0:
-                return _outward(lo * olo, hi * ohi)
-            if hi <= 0.0:
-                return _outward(lo * ohi, hi * olo)
-        a = lo * olo
-        b = lo * ohi
-        c = hi * olo
-        d = hi * ohi
-        return _outward(min(a, b, c, d), max(a, b, c, d))
+        return Enclosure(*_mul_bounds(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Enclosure":
         o = other if type(other) is Enclosure else _lift(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError(f"division by enclosure straddling zero {o!r}")
-        a = self.lo / o.lo
-        b = self.lo / o.hi
-        c = self.hi / o.lo
-        d = self.hi / o.hi
-        return _outward(min(a, b, c, d), max(a, b, c, d))
+        return Enclosure(*_div_bounds(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other) -> "Enclosure":
         return _lift(other) / self
@@ -194,9 +163,7 @@ class Enclosure:
         return Enclosure(lo, hi)
 
     def log(self) -> "Enclosure":
-        if self.lo <= 0.0:
-            raise DomainError(f"log of enclosure touching zero {self!r}")
-        return Enclosure(_down(_down(math.log(self.lo))), _up(_up(math.log(self.hi))))
+        return Enclosure(*_log_bounds(self.lo, self.hi))
 
     def to_json_obj(self) -> dict:
         # shortest round-trip decimal strings, full binary64 precision
@@ -222,11 +189,12 @@ def _endpoint(v) -> float:
 
 
 _nextafter = math.nextafter
+_log = math.log
 _object_new = object.__new__
 
 
 def _outward(lo: float, hi: float) -> Enclosure:
-    """The result of + - * /: lo and hi are the rounded-to-nearest
+    """The result of + and -: lo and hi are the rounded-to-nearest
     extremes, each moved one ulp outward here.
 
     No float() and no order check: the lower extreme rounds an exact
@@ -243,6 +211,57 @@ def _outward(lo: float, hi: float) -> Enclosure:
     e.lo = lo
     e.hi = hi
     return e
+
+
+# Rounding rules on bare (lo, hi) float pairs, shared by Enclosure's
+# operations and the float-local kernels of specfun and targets.  They
+# check no finiteness: the Enclosure built from their result does.
+
+
+def _rational_bounds(n: int, d: int) -> tuple:
+    """Tightest float pair around n/d, for d > 0."""
+    # int / int is correctly rounded (it is what float(q) computes)
+    # and raises OverflowError beyond binary64
+    f = n / d
+    fn, fd = f.as_integer_ratio()
+    # sign of f - n/d, by cross-multiplying over the positive denominators
+    diff = fn * d - n * fd
+    if diff == 0:
+        return f, f
+    if diff < 0:
+        return f, _up(f)
+    return _down(f), f
+
+
+def _mul_bounds(lo: float, hi: float, olo: float, ohi: float) -> tuple:
+    """[lo, hi] * [olo, ohi], each extreme moved one ulp outward."""
+    # Sign cases: with o >= 0 the exact extremes of the four products
+    # are known, and rounding is monotone, so these give the same floats
+    # as min/max below (up to the sign of a zero, which moving outward
+    # erases).
+    if olo >= 0.0:
+        if lo >= 0.0:
+            return _nextafter(lo * olo, -_INF), _nextafter(hi * ohi, _INF)
+        if hi <= 0.0:
+            return _nextafter(lo * ohi, -_INF), _nextafter(hi * olo, _INF)
+    a, b, c, d = lo * olo, lo * ohi, hi * olo, hi * ohi
+    return _nextafter(min(a, b, c, d), -_INF), _nextafter(max(a, b, c, d), _INF)
+
+
+def _div_bounds(lo: float, hi: float, olo: float, ohi: float) -> tuple:
+    """[lo, hi] / [olo, ohi], each extreme moved one ulp outward."""
+    if olo <= 0.0 <= ohi:
+        raise DomainError(f"division by enclosure straddling zero Enclosure({olo!r}, {ohi!r})")
+    a, b, c, d = lo / olo, lo / ohi, hi / olo, hi / ohi
+    return _nextafter(min(a, b, c, d), -_INF), _nextafter(max(a, b, c, d), _INF)
+
+
+def _log_bounds(lo: float, hi: float) -> tuple:
+    """ln [lo, hi], each end moved two ulps outward (libm is not exact)."""
+    if lo <= 0.0:
+        raise DomainError(f"log of enclosure touching zero Enclosure({lo!r}, {hi!r})")
+    return (_nextafter(_nextafter(_log(lo), -_INF), -_INF),
+            _nextafter(_nextafter(_log(hi), _INF), _INF))
 
 
 def _lift(v) -> Enclosure:

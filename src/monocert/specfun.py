@@ -7,9 +7,12 @@ gives the coefficients of log Gamma and of every polygamma order.  For
 real positive arguments those series envelop the true value
 (consecutive Bernoulli terms alternate in sign), so the truncation
 error is at most the first omitted term; that term, evaluated in
-interval arithmetic, is added symmetrically.  `ln_gamma_over_x`
-keeps only the first omitted term's envelope and divides by x, for
-arguments at which log Gamma itself overflows.
+interval arithmetic, is added symmetrically.  `ln_gamma_over_x` keeps
+only the first omitted term's envelope and divides by x, for arguments
+at which log Gamma itself overflows.  The series and the recurrences
+run on local (lo, hi) float pairs, one interval operation per step in
+the written order, through the rounding rules that `Enclosure`'s own
+operations use, and build one Enclosure at the end.
 
 The elementary two-sided bounds (`digamma_bounds`, `polygamma_bounds`,
 `log1p_bounds`) are independent of the series route on purpose: they
@@ -25,7 +28,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enclosure import DomainError, Enclosure, LN_PI, _lift
+from .enclosure import (
+    DomainError, Enclosure, LN_PI, _div_bounds, _lift, _log_bounds, _mul_bounds,
+    _rational_bounds,
+)
 
 __all__ = [
     "ln_gamma",
@@ -51,16 +57,15 @@ _BERNOULLI = (
 
 
 def _series_coefficients(k: int) -> tuple:
-    """Enclosures of (-1)^(k+1) B_2n (2n+k-1)!/(2n)! for n = 1..6: the
-    coefficient of y^-(2n+k) in the asymptotic series of psi^(k)(y),
+    """Float pairs around (-1)^(k+1) B_2n (2n+k-1)!/(2n)! for n = 1..6:
+    the coefficient of y^-(2n+k) in the asymptotic series of psi^(k)(y),
     where k = -1 stands for log Gamma(y).  The n = 6 term bounds the
     truncation error."""
-    return tuple(
-        Enclosure.from_rational(
-            (-1) ** (k + 1) * b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
-        )
+    coeffs = (
+        (-1) ** (k + 1) * b * Fraction(math.factorial(2 * n + k - 1), math.factorial(2 * n))
         for n, b in enumerate(_BERNOULLI, 1)
     )
+    return tuple(_rational_bounds(c.numerator, c.denominator) for c in coeffs)
 
 
 _SERIES = {k: _series_coefficients(k) for k in (-1, 0, 1, 2)}
@@ -69,53 +74,78 @@ _ONE = Enclosure(1.0, 1.0)
 _HALF = Enclosure(0.5, 0.5)
 _HALF_LN_TWO_PI = (LN_PI + Enclosure(2.0, 2.0).log()) * _HALF
 
+_INF = math.inf
+_nextafter = math.nextafter
 
-def _shift_count(x: Enclosure) -> int:
-    if x.lo >= _SHIFT_THRESHOLD:
+
+def _shift_count(lo: float) -> int:
+    if lo >= _SHIFT_THRESHOLD:
         return 0
-    return int(math.ceil(_SHIFT_THRESHOLD - x.lo))
+    return int(math.ceil(_SHIFT_THRESHOLD - lo))
 
 
-def _symmetric(r: Enclosure) -> Enclosure:
-    m = max(abs(r.lo), abs(r.hi))
-    return Enclosure(-m, m)
+def _shifted(lo: float, hi: float, j: int) -> tuple:
+    """[lo, hi] + j, widened by an ulp at each end even for j = 0."""
+    return _nextafter(lo + j, -_INF), _nextafter(hi + j, _INF)
 
 
-def _asymptotic(k: int, y: Enclosure) -> Enclosure:
-    """psi^(k)(y), or log Gamma(y) for k = -1, from the Bernoulli series
-    with its first omitted term added symmetrically; needs y >= 8."""
-    inv = _ONE / y
-    inv2 = inv * inv
-    if k == -1:
-        res = (y - _HALF) * y.log() - y + _HALF_LN_TWO_PI
-        p = inv
-    elif k == 0:
-        res = y.log() - inv * _HALF
-        p = inv2
-    elif k == 1:
-        res = inv + inv2 * _HALF
-        p = inv * inv2
-    else:
-        res = -(inv2 + inv * inv2)
-        p = inv2 * inv2
-    *terms, tail = _SERIES[k]
-    for c in terms:
-        res = res + c * p
-        p = p * inv2
-    return res + _symmetric(tail * p)
+def _asymptotic(k: int, lo: float, hi: float) -> tuple:
+    """psi^(k)(y), or log Gamma(y) for k = -1, on y = [lo, hi] >= 8, from
+    the Bernoulli series with its first omitted term added symmetrically.
+
+    An endpoint that overflows stays infinite through every later step
+    here and in the callers' recurrences (polygamma checks the powers,
+    whose quotient would hide it), so the Enclosure built at the end
+    raises DomainError wherever an interval step would have."""
+    ilo, ihi = _div_bounds(1.0, 1.0, lo, hi)
+    i2lo, i2hi = _mul_bounds(ilo, ihi, ilo, ihi)
+    if k == -1:  # (y - 1/2) ln y - y + ln(2 pi)/2
+        rlo, rhi = _mul_bounds(_nextafter(lo - 0.5, -_INF), _nextafter(hi - 0.5, _INF),
+                               *_log_bounds(lo, hi))
+        rlo, rhi = _nextafter(rlo - hi, -_INF), _nextafter(rhi - lo, _INF)
+        c = _HALF_LN_TWO_PI
+        rlo, rhi = _nextafter(rlo + c.lo, -_INF), _nextafter(rhi + c.hi, _INF)
+        plo, phi = ilo, ihi
+    elif k == 0:  # ln y - 1/(2y)
+        llo, lhi = _log_bounds(lo, hi)
+        hlo, hhi = _mul_bounds(ilo, ihi, 0.5, 0.5)
+        rlo, rhi = _nextafter(llo - hhi, -_INF), _nextafter(lhi - hlo, _INF)
+        plo, phi = i2lo, i2hi
+    elif k == 1:  # 1/y + 1/(2y^2)
+        hlo, hhi = _mul_bounds(i2lo, i2hi, 0.5, 0.5)
+        rlo, rhi = _nextafter(ilo + hlo, -_INF), _nextafter(ihi + hhi, _INF)
+        plo, phi = _mul_bounds(ilo, ihi, i2lo, i2hi)
+    else:  # -(1/y^2 + 1/y^3)
+        plo, phi = _mul_bounds(ilo, ihi, i2lo, i2hi)
+        rlo, rhi = -_nextafter(i2hi + phi, _INF), -_nextafter(i2lo + plo, -_INF)
+        plo, phi = _mul_bounds(i2lo, i2hi, i2lo, i2hi)
+    *terms, (tlo, thi) = _SERIES[k]
+    for clo, chi in terms:
+        mlo, mhi = _mul_bounds(clo, chi, plo, phi)
+        rlo, rhi = _nextafter(rlo + mlo, -_INF), _nextafter(rhi + mhi, _INF)
+        plo, phi = _mul_bounds(plo, phi, i2lo, i2hi)
+    mlo, mhi = _mul_bounds(tlo, thi, plo, phi)
+    m = max(abs(mlo), abs(mhi))
+    return _nextafter(rlo - m, -_INF), _nextafter(rhi + m, _INF)
 
 
 def ln_gamma(x) -> Enclosure:
     """Enclosure of log Gamma(x) for x with positive lower endpoint."""
     xe = _lift(x)
-    if xe.lo <= 0.0:
+    lo, hi = xe.lo, xe.hi
+    if lo <= 0.0:
         raise DomainError(f"ln_gamma needs a positive argument, got {xe!r}")
-    k = _shift_count(xe)
-    res = _asymptotic(-1, xe + k if k else xe)
-    # log Gamma(x) = log Gamma(x + k) - sum log(x + j)
+    k = _shift_count(lo)
+    rlo, rhi = _asymptotic(-1, *(_shifted(lo, hi, k) if k else (lo, hi)))
+    # log Gamma(x) = log Gamma(x + k) - sum log(x + j).  The j = 0 term
+    # x + 0 widens x by an ulp before its log, which for x = 5e-324
+    # reaches down to 0 and raises.  Dropping it changes the pinned grid
+    # values, and in polygamma the theorem1 report, so it stays until
+    # those are re-recorded.
     for j in range(k):
-        res = res - (xe + j).log()
-    return res
+        llo, lhi = _log_bounds(*_shifted(lo, hi, j))
+        rlo, rhi = _nextafter(rlo - lhi, -_INF), _nextafter(rhi - llo, _INF)
+    return Enclosure(rlo, rhi)
 
 
 def ln_gamma_over_x(x) -> Enclosure:
@@ -141,12 +171,19 @@ def polygamma(k: int, x) -> Enclosure:
     xe = _lift(x)
     if xe.lo <= 0.0:
         raise DomainError(f"polygamma needs a positive argument, got {xe!r}")
-    shift = _shift_count(xe)
-    res = _asymptotic(k, xe + shift if shift else xe)
-    numerator = Enclosure.point((-1) ** (k + 1) * math.factorial(k))
-    for j in range(shift):
-        res = res + numerator / (xe + j).pow_int(k + 1)
-    return res
+    lo, hi = xe.lo, xe.hi
+    shift = _shift_count(lo)
+    rlo, rhi = _asymptotic(k, *(_shifted(lo, hi, shift) if shift else (lo, hi)))
+    numerator = float((-1) ** (k + 1) * math.factorial(k))
+    for j in range(shift):  # j = 0 widens x by an ulp, as in ln_gamma
+        ylo, yhi = plo, phi = _shifted(lo, hi, j)
+        for _ in range(k):  # (x + j)^(k + 1)
+            plo, phi = _mul_bounds(plo, phi, ylo, yhi)
+        if not phi < _INF:  # the quotient below would hide the overflow
+            raise DomainError(f"(x + {j})^{k + 1} overflows for x = {xe!r}")
+        qlo, qhi = _div_bounds(numerator, numerator, plo, phi)
+        rlo, rhi = _nextafter(rlo + qlo, -_INF), _nextafter(rhi + qhi, _INF)
+    return Enclosure(rlo, rhi)
 
 
 class BoundPair(NamedTuple):

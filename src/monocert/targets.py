@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .enclosure import DomainError, Enclosure, EULER_GAMMA, LN_PI
+from .enclosure import DomainError, Enclosure, EULER_GAMMA, LN_PI, _log_bounds, _rational_bounds
 from .exactpoly import PositivityCertificate, RationalPolynomial, certify_positive_on_ray
 from .specfun import ln_gamma, ln_gamma_over_x, polygamma
 
@@ -164,14 +164,18 @@ LOG_PI_POLYS["p6"] = -LOG_PI_POLYS["h2ppp"]
 
 def _log_poly_quotient(xq: Fraction, x1: Enclosure) -> Enclosure:
     """ln(x^2+1) - ln(x+1), both arguments exact; x1 is _enc(xq + 1),
-    which the callers also hand to the special functions."""
+    which the callers also hand to the special functions.  The
+    difference runs on float pairs, as Enclosure's own operations would."""
+    n, d = xq.numerator, xq.denominator
     try:
-        square = _enc(xq * xq + 1)
+        square = _rational_bounds(n * n + d * d, d * d)  # x^2 + 1
     except OverflowError:
         # x^2 + 1 is beyond binary64 though its logarithm is not:
         # ln(x^2 + 1) = 2 ln x + ln(1 + 1/x^2)
         return _enc(xq).log() * 2 + _enc(1 + 1 / (xq * xq)).log() - x1.log()
-    return square.log() - x1.log()
+    slo, shi = _log_bounds(*square)
+    llo, lhi = _log_bounds(x1.lo, x1.hi)
+    return Enclosure(math.nextafter(slo - lhi, -math.inf), math.nextafter(shi - llo, math.inf))
 
 
 def gamma_log_ratio(x) -> Enclosure:

@@ -1,6 +1,8 @@
 """Proof replay drivers: step layout, status algebra, grid
 certificates, mutation sensitivity, deterministic serialization."""
 
+import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -277,6 +279,31 @@ def test_grid_certificate_soundness_resample_decreasing():
         mids = [log_ball_volume_root(t).mid for t in points]
         assert all(u > v for u, v in zip(mids, mids[1:])), (a, b)
 
+
+
+# SHA-256 of repr([(lo, hi), ...]) over every value of each grid
+# evaluator on its suite's default window.  The reports record only
+# separation verdicts, so a 1-ulp drift in a grid value would not change
+# a report byte; these fingerprints catch it.
+_DEFAULT_GRID_VALUES_SHA256 = {
+    ("gamma_log_ratio", verify_theorem1):
+        "76516a4497ae744a1a280e6b42a67f079ca98c76c591aa07f5313855f8a48e3c",
+    ("log_ball_volume_root", verify_theorem2):
+        "89efbb913107a3a4d1e44119f2ca8d9c270c1f4c0ef243942cd3b65d5eba7b30",
+}
+
+
+@pytest.mark.parametrize("function_id, suite", list(_DEFAULT_GRID_VALUES_SHA256))
+def test_default_grid_values_are_pinned(function_id, suite):
+    window = {name: p.default for name, p in inspect.signature(suite).parameters.items()}
+    grid = certify._build_grid(
+        window["grid_from"], window["grid_to"], window["grid_step"],
+        certify._SNAP_POINTS.get(function_id, ()),
+    )
+    fn = certify._GRID_FUNCTIONS[function_id]
+    values = repr([(e.lo, e.hi) for e in map(fn, grid)])
+    digest = hashlib.sha256(values.encode()).hexdigest()
+    assert digest == _DEFAULT_GRID_VALUES_SHA256[function_id, suite]
 
 # -- exploration never touches verdicts -----------------------------
 
