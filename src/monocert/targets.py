@@ -11,9 +11,10 @@ increasing half, and a six-member auxiliary sign chain that drives the
 decreasing half.
 
 All evaluators take a scalar (int, float, or Fraction) and return an
-Enclosure.  Scalars are first converted to exact rationals so every
-polynomial part is computed in exact arithmetic; only the special
-functions and logarithms contribute interval width.
+Enclosure.  Every polynomial part is exact: it is computed from the
+integers of the scalar's as_integer_ratio(), in integer or Fraction
+arithmetic, and rounded outward once; only the special functions and
+logarithms contribute interval width.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
 # in interval arithmetic; callers get the exact limit value at the
 # singular point itself and an error elsewhere in the zone.
 GUARD_RADIUS = 2.0 ** -20
-_GUARD = Fraction(GUARD_RADIUS)
 
 
 class GuardZoneError(DomainError):
@@ -63,22 +63,27 @@ class GuardZoneError(DomainError):
     singularity for a meaningful enclosure, but not exactly on it."""
 
 
-def _exact(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _check_scalar(x) -> None:
+    """Refuse x unless it is an int, a finite float or a Fraction: all
+    three compare exactly with ints and floats, and give their exact
+    value as as_integer_ratio() (floats are dyadic rationals)."""
     if isinstance(x, bool):
         raise DomainError("bool is not a numeric argument")
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise DomainError(f"non-finite argument {x!r}")
-        return Fraction(x)  # floats are dyadic rationals, exact
-    raise DomainError(f"unsupported scalar type {type(x).__name__}")
+    elif not isinstance(x, (int, Fraction)):
+        raise DomainError(f"unsupported scalar type {type(x).__name__}")
 
 
 def _enc(q: Fraction) -> Enclosure:
     return Enclosure.from_rational(q)
+
+
+def _plus_one(n: int, d: int) -> Enclosure:
+    """Tightest enclosure of n/d + 1, for d > 0: the bounds of
+    _enc(Fraction(n, d) + 1), without building the Fraction."""
+    return Enclosure(*_rational_bounds(n + d, d))
 
 
 # --- exact polynomial tables, ascending coefficients ---
@@ -162,16 +167,17 @@ LOG_PI_POLYS["p6"] = -LOG_PI_POLYS["h2ppp"]
 # --- the two continuous targets ---
 
 
-def _log_poly_quotient(xq: Fraction, x1: Enclosure) -> Enclosure:
-    """ln(x^2+1) - ln(x+1), both arguments exact; x1 is _enc(xq + 1),
-    which the callers also hand to the special functions.  The
-    difference runs on float pairs, as Enclosure's own operations would."""
-    n, d = xq.numerator, xq.denominator
+def _log_poly_quotient(n: int, d: int, x1: Enclosure) -> Enclosure:
+    """ln(x^2+1) - ln(x+1) for x = n/d exactly, d > 0; x1 is
+    _plus_one(n, d), which the callers also hand to the special
+    functions.  The difference runs on float pairs, as Enclosure's own
+    operations would."""
     try:
         square = _rational_bounds(n * n + d * d, d * d)  # x^2 + 1
     except OverflowError:
         # x^2 + 1 is beyond binary64 though its logarithm is not:
         # ln(x^2 + 1) = 2 ln x + ln(1 + 1/x^2)
+        xq = Fraction(n, d)
         return _enc(xq).log() * 2 + _enc(1 + 1 / (xq * xq)).log() - x1.log()
     slo, shi = _log_bounds(*square)
     llo, lhi = _log_bounds(x1.lo, x1.hi)
@@ -187,26 +193,29 @@ def gamma_log_ratio(x) -> Enclosure:
     them raise GuardZoneError instead of returning a uselessly wide
     interval.
     """
-    xq = _exact(x)
-    if xq < 0:
+    # The comparisons are exact for every scalar type; for a float, x - 1
+    # is exact on [0.5, 2] (Sterbenz) and |x - 1| >= 0.5 outside it.
+    _check_scalar(x)
+    if x < 0:
         raise DomainError(f"gamma_log_ratio needs x >= 0, got {x!r}")
-    if xq == 0:
+    if x == 0:
         return EULER_GAMMA
-    if xq == 1:
+    if x == 1:
         return (Enclosure(1.0, 1.0) - EULER_GAMMA) * 2
-    if xq <= _GUARD or abs(xq - 1) <= _GUARD:  # xq is neither 0 nor 1
+    if x <= GUARD_RADIUS or abs(x - 1) <= GUARD_RADIUS:  # x is neither 0 nor 1
         raise GuardZoneError(
             f"x={x!r} is within {GUARD_RADIUS} of a removable singularity; "
             "evaluate at the singular point itself for the exact value"
         )
-    x1 = _enc(xq + 1)
+    n, d = x.as_integer_ratio()
+    x1 = _plus_one(n, d)
     try:
         lg = ln_gamma(x1)
     except DomainError:
         # for x + 1 > 1 the only DomainError is ln Gamma(x+1) ~ x ln x
         # overflowing binary64, though F(x) < x does not
-        return x1 * (ln_gamma_over_x(x1) / _log_poly_quotient(xq, x1))
-    return lg / _log_poly_quotient(xq, x1)
+        return x1 * (ln_gamma_over_x(x1) / _log_poly_quotient(n, d, x1))
+    return lg / _log_poly_quotient(n, d, x1)
 
 
 def log_ball_volume_root(x) -> Enclosure:
@@ -218,22 +227,24 @@ def log_ball_volume_root(x) -> Enclosure:
     drops near 1, and the large-n sequence trends only make sense in log
     scale.
     """
-    xq = _exact(x)
-    if xq <= 1:
+    _check_scalar(x)
+    if x <= 1:  # exact comparisons, as in gamma_log_ratio
         raise DomainError(f"log_ball_volume_root needs x > 1, got {x!r}")
-    if xq - 1 <= _GUARD:
+    if x - 1 <= GUARD_RADIUS:
         raise GuardZoneError(
             f"x={x!r} is within {GUARD_RADIUS} of the singular edge at 1, "
             "where the quotient is 0/0"
         )
-    x1 = _enc(xq + 1)
+    n, d = x.as_integer_ratio()
+    x1 = _plus_one(n, d)
     try:
         lg = ln_gamma(x1)
     except DomainError:
-        # ln Gamma(x+1) overflows, as in gamma_log_ratio: scale by x + 1
-        num = LN_PI * _enc(xq / (xq + 1)) - ln_gamma_over_x(x1)
-        return x1 * (num / _log_poly_quotient(xq, x1))
-    return (LN_PI * _enc(xq) - lg) / _log_poly_quotient(xq, x1)
+        # ln Gamma(x+1) overflows, as in gamma_log_ratio: scale by x + 1,
+        # with x / (x + 1) = n / (n + d)
+        num = LN_PI * Enclosure(*_rational_bounds(n, n + d)) - ln_gamma_over_x(x1)
+        return x1 * (num / _log_poly_quotient(n, d, x1))
+    return (LN_PI * Enclosure(*_rational_bounds(n, d)) - lg) / _log_poly_quotient(n, d, x1)
 
 
 def ball_volume_root(x) -> Enclosure:
@@ -304,7 +315,8 @@ def volume_sequence_value(n, mode: str) -> Enclosure:
 
 
 def _require_at_least_one(x, who: str) -> Fraction:
-    xq = _exact(x)
+    _check_scalar(x)
+    xq = Fraction(x)
     if xq < 1:
         raise DomainError(f"{who} needs x >= 1, got {x!r}")
     return xq
@@ -318,12 +330,12 @@ def fg_ratio(x) -> Enclosure:
     monotone-quotient rule that transfers to the target function.
     """
     xq = _require_at_least_one(x, "fg_ratio")
-    num = _enc(_CUBIC_NUM.eval_at(xq)) * polygamma(0, _enc(xq + 1))
+    num = _enc(_CUBIC_NUM.eval_at(xq)) * polygamma(0, _plus_one(xq.numerator, xq.denominator))
     return num / _enc(_QUAD_DEN.eval_at(xq))
 
 
 def _p4_polygamma(k: int, xq: Fraction, x1: Enclosure) -> Enclosure:
-    """p4(x) psi^(k)(x+1) for k = 1 or 2, x exact; x1 is _enc(xq + 1)."""
+    """p4(x) psi^(k)(x+1) for k = 1 or 2, x exact; x1 is x + 1."""
     p4 = _P4.eval_at(xq)
     try:
         p4_enc = _enc(p4)
@@ -343,7 +355,7 @@ def fg_ratio_core(x) -> Enclosure:
     of the core on [1, oo) is what the certification establishes.
     """
     xq = _require_at_least_one(x, "fg_ratio_core")
-    x1 = _enc(xq + 1)
+    x1 = _plus_one(xq.numerator, xq.denominator)
     return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * polygamma(0, x1) + _p4_polygamma(1, xq, x1)
 
 
@@ -357,7 +369,7 @@ def fg_ratio_core_rate(x) -> Enclosure:
     identities in exact arithmetic.
     """
     xq = _require_at_least_one(x, "fg_ratio_core_rate")
-    x1 = _enc(xq + 1)
+    x1 = _plus_one(xq.numerator, xq.denominator)
     return (
         _enc(4 * _P1.eval_at(xq)) * polygamma(0, x1)
         + _enc(2 * _P3.eval_at(xq)) * polygamma(1, x1)
@@ -378,18 +390,19 @@ def fg_ratio_core_rate_lower_bound(x) -> Fraction:
 
 
 def _chain_h(xq: Fraction) -> Enclosure:
-    x1 = _enc(xq + 1)
+    n, d = xq.numerator, xq.denominator
+    x1 = _plus_one(n, d)
     weight = _enc(_CUBIC_NUM.eval_at(xq) / _QUAD_DEN.eval_at(xq))
     log_term = LN_PI - polygamma(0, x1)
     return (
-        weight * log_term * _log_poly_quotient(xq, x1)
+        weight * log_term * _log_poly_quotient(n, d, x1)
         - LN_PI * _enc(xq)
         + ln_gamma(x1)
     )
 
 
 def _chain_h1(xq: Fraction) -> Enclosure:
-    x1 = _enc(xq + 1)
+    x1 = _plus_one(xq.numerator, xq.denominator)
     return _enc(_CORE_PSI_WEIGHT.eval_at(xq)) * (
         polygamma(0, x1) - LN_PI
     ) + _p4_polygamma(1, xq, x1)

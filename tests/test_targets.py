@@ -5,17 +5,23 @@ digits, so nothing here depends on frozen decimal literals.
 """
 
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from monocert.enclosure import DomainError, Enclosure, LN_PI
+from monocert.enclosure import (
+    DomainError, Enclosure, EULER_GAMMA, LN_PI, _log_bounds, _rational_bounds,
+)
 from monocert.exactpoly import RationalPolynomial
+from monocert.specfun import ln_gamma, ln_gamma_over_x
 from monocert.targets import (
     _CORE_PSI_WEIGHT,
     _CUBIC_NUM,
     _QUAD_DEN,
+    _plus_one,
     GUARD_RADIUS,
     GuardZoneError,
     LEMMA_POLYS,
@@ -445,3 +451,121 @@ def test_scalar_validation():
         fg_ratio(0.25)
     with pytest.raises(DomainError):
         fg_ratio_core("two")
+
+
+# -- reference oracle: the Fraction argument prelude of F and log G.
+# The evaluators take the exact parts of x from as_integer_ratio()
+# instead, and must give the same endpoints, or the same exception.
+
+_REF_GUARD = Fraction(GUARD_RADIUS)
+
+
+def _ref_exact(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise DomainError("bool is not a numeric argument")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite argument {x!r}")
+        return Fraction(x)
+    raise DomainError(f"unsupported scalar type {type(x).__name__}")
+
+
+def _ref_log_poly_quotient(xq: Fraction, x1: Enclosure) -> Enclosure:
+    n, d = xq.numerator, xq.denominator
+    try:
+        square = _rational_bounds(n * n + d * d, d * d)
+    except OverflowError:
+        return (Enclosure.from_rational(xq).log() * 2
+                + Enclosure.from_rational(1 + 1 / (xq * xq)).log() - x1.log())
+    slo, shi = _log_bounds(*square)
+    llo, lhi = _log_bounds(x1.lo, x1.hi)
+    return Enclosure(math.nextafter(slo - lhi, -math.inf), math.nextafter(shi - llo, math.inf))
+
+
+def _ref_gamma_log_ratio(x) -> Enclosure:
+    xq = _ref_exact(x)
+    if xq < 0:
+        raise DomainError(f"gamma_log_ratio needs x >= 0, got {x!r}")
+    if xq == 0:
+        return EULER_GAMMA
+    if xq == 1:
+        return (Enclosure(1.0, 1.0) - EULER_GAMMA) * 2
+    if xq <= _REF_GUARD or abs(xq - 1) <= _REF_GUARD:
+        raise GuardZoneError(
+            f"x={x!r} is within {GUARD_RADIUS} of a removable singularity; "
+            "evaluate at the singular point itself for the exact value"
+        )
+    x1 = Enclosure.from_rational(xq + 1)
+    try:
+        lg = ln_gamma(x1)
+    except DomainError:
+        return x1 * (ln_gamma_over_x(x1) / _ref_log_poly_quotient(xq, x1))
+    return lg / _ref_log_poly_quotient(xq, x1)
+
+
+def _ref_log_ball_volume_root(x) -> Enclosure:
+    xq = _ref_exact(x)
+    if xq <= 1:
+        raise DomainError(f"log_ball_volume_root needs x > 1, got {x!r}")
+    if xq - 1 <= _REF_GUARD:
+        raise GuardZoneError(
+            f"x={x!r} is within {GUARD_RADIUS} of the singular edge at 1, "
+            "where the quotient is 0/0"
+        )
+    x1 = Enclosure.from_rational(xq + 1)
+    try:
+        lg = ln_gamma(x1)
+    except DomainError:
+        num = LN_PI * Enclosure.from_rational(xq / (xq + 1)) - ln_gamma_over_x(x1)
+        return x1 * (num / _ref_log_poly_quotient(xq, x1))
+    return (LN_PI * Enclosure.from_rational(xq) - lg) / _ref_log_poly_quotient(xq, x1)
+
+
+def _ref_outcome(fn, x) -> str:
+    """repr of (lo, hi), or of the exception's type and message; repr
+    tells -0.0 from 0.0."""
+    try:
+        e = fn(x)
+    except (ArithmeticError, ValueError) as exc:
+        return repr((type(exc), str(exc)))
+    return repr((e.lo, e.hi))
+
+
+def _prelude_arguments() -> list:
+    rng = random.Random(1616)
+    floats = [rng.uniform(0.0, 60.0) for _ in range(400)]
+    lo, hi = math.log(2.0 ** -19), math.log(1.7e308)
+    floats += [math.exp(rng.uniform(lo, hi)) for _ in range(400)]
+    g = GUARD_RADIUS
+    edges = [-0.0, 0.0, 5e-324, 1.0, 2.0 ** 53, 1e306, 1.7976931348623157e308]
+    for c in (g, 1.0 - g, 1.0 + g, 1.3407807929942596e154):  # the last: x^2 overflows
+        edges += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+    ints = [-3, 0, 1, 2, 3, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 154, 10 ** 155, 10 ** 400]
+    fractions = [Fraction(v) for v in floats + edges]
+    fractions += [Fraction(7, 2), Fraction(1, 3), Fraction(10 ** 6 + 1, 2),
+                  Fraction(10 ** 400, 3), _REF_GUARD + Fraction(1, 10 ** 30),
+                  1 - _REF_GUARD - Fraction(1, 10 ** 30), 1 + _REF_GUARD + Fraction(1, 10 ** 30)]
+    return floats + edges + ints + fractions
+
+
+@pytest.mark.parametrize("fn, ref", [
+    (gamma_log_ratio, _ref_gamma_log_ratio),
+    (log_ball_volume_root, _ref_log_ball_volume_root),
+])
+def test_argument_prelude_matches_the_fraction_reference(fn, ref):
+    args = _prelude_arguments()
+    args += [True, math.nan, math.inf, -math.inf, "1.5", Decimal("1.5")]
+    for x in args:
+        assert _ref_outcome(fn, x) == _ref_outcome(ref, x), x
+
+
+def test_plus_one_matches_the_fraction_enclosure():
+    # fg_ratio, its core and rate, and the chain members h and h1 take
+    # x + 1 from _plus_one too
+    for x in _prelude_arguments():
+        got = _ref_outcome(lambda v: _plus_one(*v.as_integer_ratio()), x)
+        assert got == _ref_outcome(lambda v: Enclosure.from_rational(Fraction(v) + 1), x), x
